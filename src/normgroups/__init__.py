@@ -15,7 +15,7 @@ from .catalog import (
     catalog_hash,
     catalog_labels,
 )
-from .groups import OrbitRecord, PermutationGroup, group_from_generator_text
+from .groups import PermutationGroup, group_from_generator_text
 from .normalizing import (
     CLASSIFICATION_TABLE,
     KNOWN_FAILING_MAPS,
@@ -46,7 +46,6 @@ from .semigroups import (
     DEFAULT_CAP,
     RClassCertificate,
     TransSemigroup,
-    closure,
     in_r_class,
     r_class_certificate,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "KNOWN_FAILING_MAPS",
     "KernelPartition",
     "NormalizingVerdict",
-    "OrbitRecord",
     "ParseError",
     "Permutation",
     "PermutationGroup",
@@ -92,7 +90,6 @@ __all__ = [
     "catalog_labels",
     "check_pair",
     "classify",
-    "closure",
     "conjugacy_orbit_reps",
     "exists_section_mapper",
     "group_from_generator_text",

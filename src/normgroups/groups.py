@@ -8,22 +8,22 @@ element order anchors every "first witness" the rest of the package
 reports.
 
 The element matrix (one row per element, one column per point) is the
-workhorse for the vectorized callers in the normalizing machinery.
+workhorse for the vectorized callers in the normalizing machinery, and
+its sorted rows answer membership by binary search.  Orbits here are
+point orbits; conjugation orbits of maps live with the sweep in
+normalizing.py.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .transform import ParseError, Permutation, Transformation
-
-OrbitAction = Literal["points", "sets", "right", "conjugation"]
 
 
 class PermutationGroup:
@@ -59,6 +59,7 @@ class PermutationGroup:
         self._elements: tuple[Permutation, ...] | None = None
         self._matrix: np.ndarray | None = None
         self._inverse_matrix: np.ndarray | None = None
+        self._sorted_rows: np.ndarray | None = None
 
     # -- element enumeration -------------------------------------------------
 
@@ -101,7 +102,14 @@ class PermutationGroup:
         return self._inverse_matrix
 
     def __contains__(self, p: Transformation) -> bool:
-        return isinstance(p, Permutation) and p.degree == self.degree and p in set(self.elements())
+        """Membership by one binary search over the sorted element rows."""
+        if not isinstance(p, Permutation) or p.degree != self.degree:
+            return False
+        if self._sorted_rows is None:
+            self._sorted_rows = np.sort(_row_keys(self.element_matrix()))
+        key = _row_keys(np.array([p.images], dtype=np.int8))
+        i = int(np.searchsorted(self._sorted_rows, key)[0])
+        return i < self._sorted_rows.shape[0] and bool(self._sorted_rows[i] == key[0])
 
     def __len__(self) -> int:
         return self.order()
@@ -119,35 +127,19 @@ class PermutationGroup:
 
     # -- orbits ---------------------------------------------------------------
 
-    def orbit(self, seed, action: OrbitAction = "points") -> "OrbitRecord":
-        """Breadth-first orbit of seed under the chosen action.
-
-        Actions: "points" (x -> image of x), "sets" (setwise image),
-        "right" (t -> t * g), "conjugation" (t -> g^-1 t g).  Members are
-        recorded in discovery order with Schreier words over generator
-        indices, replayable left to right.
-        """
-        act = _ACTIONS.get(action)
-        if act is None:
-            raise ValueError(f"unknown action {action!r}")
-        seed = _canonical_seed(seed, action, self.degree)
-        members = [seed]
-        index = {seed: 0}
-        parents = [-1]
-        via = [-1]
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            cur = members[i]
-            for k, g in enumerate(self.generators):
-                nxt = act(cur, g)
-                if nxt not in index:
-                    index[nxt] = len(members)
-                    members.append(nxt)
-                    parents.append(i)
-                    via.append(k)
-                    queue.append(len(members) - 1)
-        return OrbitRecord(self, seed, action, members, index, parents, via)
+    def orbit(self, point: int) -> tuple[int, ...]:
+        """The orbit of a point, in breadth-first discovery order."""
+        if not isinstance(point, int) or not 0 <= point < self.degree:
+            raise ValueError(f"point seed {point!r} outside 0..{self.degree - 1}")
+        members = [point]
+        seen = {point}
+        for x in members:  # the list grows as the walk reaches new points
+            for g in self.generators:
+                y = g.images[x]
+                if y not in seen:
+                    seen.add(y)
+                    members.append(y)
+        return tuple(members)
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
@@ -157,7 +149,7 @@ class PermutationGroup:
         out = []
         for p in range(self.degree):
             if p not in seen:
-                orb = self.orbit(p).members
+                orb = self.orbit(p)
                 seen.update(orb)
                 out.append(tuple(sorted(orb)))
         return out
@@ -167,47 +159,9 @@ class PermutationGroup:
     def is_primitive(self) -> bool:
         """True iff transitive with no nontrivial invariant partition.
 
-        Minimal-block construction: for each point b != 0, glue 0 with b
-        and propagate closure under the generators via union-find; the
-        group is primitive iff every such congruence is universal.
         Degrees 1 and 2 admit no nontrivial partition at all.
         """
-        if not self.is_transitive():
-            return False
-        n = self.degree
-        if n <= 2:
-            return True
-        return all(self._minimal_congruence_is_universal(b) for b in range(1, n))
-
-    def _minimal_congruence_is_universal(self, beta: int) -> bool:
-        parent = list(range(self.degree))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> bool:
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                return False
-            parent[rx] = ry
-            return True
-
-        classes = self.degree
-        queue = deque()
-        if union(0, beta):
-            classes -= 1
-            queue.append((0, beta))
-        while queue:
-            x, y = queue.popleft()
-            for g in self.generators:
-                gx, gy = g.images[x], g.images[y]
-                if union(gx, gy):
-                    classes -= 1
-                    queue.append((gx, gy))
-        return classes == 1
+        return self.is_transitive() and self.minimal_block_system() is None
 
     def minimal_block_system(self) -> list[tuple[int, ...]] | None:
         """A nontrivial invariant partition, or None if primitive.
@@ -290,85 +244,9 @@ class PermutationGroup:
         return Fraction(total, self.order())
 
 
-@dataclass
-class OrbitRecord:
-    """An orbit with its discovery order and Schreier words."""
-
-    group: PermutationGroup
-    seed: object
-    action: OrbitAction
-    members: list
-    _index: dict = field(repr=False)
-    _parents: list[int] = field(repr=False)
-    _via: list[int] = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, x) -> bool:
-        return _canonical_seed(x, self.action, self.group.degree) in self._index
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def word(self, member) -> tuple[int, ...]:
-        """Generator indices mapping seed to member, applied left to right."""
-        i = self._index[_canonical_seed(member, self.action, self.group.degree)]
-        out: list[int] = []
-        while self._parents[i] != -1:
-            out.append(self._via[i])
-            i = self._parents[i]
-        return tuple(reversed(out))
-
-    def replay(self, word: Iterable[int]):
-        """Apply a generator-index word to the seed."""
-        act = _ACTIONS[self.action]
-        cur = self.seed
-        for k in word:
-            cur = act(cur, self.group.generators[k])
-        return cur
-
-
-def _act_points(x: int, g: Permutation) -> int:
-    return g.images[x]
-
-
-def _act_sets(s: tuple[int, ...], g: Permutation) -> tuple[int, ...]:
-    return tuple(sorted(g.images[p] for p in s))
-
-
-def _act_right(t: Transformation, g: Permutation) -> Transformation:
-    return t * g
-
-
-def _act_conjugation(t: Transformation, g: Permutation) -> Transformation:
-    return t.conjugated_by(g)
-
-
-_ACTIONS: dict[str, Callable] = {
-    "points": _act_points,
-    "sets": _act_sets,
-    "right": _act_right,
-    "conjugation": _act_conjugation,
-}
-
-
-def _canonical_seed(seed, action: OrbitAction, degree: int):
-    if action == "points":
-        if not isinstance(seed, int) or not 0 <= seed < degree:
-            raise ValueError(f"point seed {seed!r} outside 0..{degree - 1}")
-        return seed
-    if action == "sets":
-        s = tuple(sorted(set(seed)))
-        for p in s:
-            if not 0 <= p < degree:
-                raise ValueError(f"point {p} outside 0..{degree - 1}")
-        return s
-    if not isinstance(seed, Transformation):
-        raise ValueError(f"{action} action needs a Transformation seed")
-    if seed.degree != degree:
-        raise ValueError(f"degree mismatch: {seed.degree} vs {degree}")
-    return seed
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each int8 row as one opaque key; sorts lexicographically at any degree."""
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
 def _default_label(gens: tuple[Permutation, ...]) -> str:

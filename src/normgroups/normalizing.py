@@ -20,18 +20,22 @@ Each map is checked with a fixed strategy order:
 3. closure: breadth-first closure of <a^G> pruned below rank(a); exact,
    but bounded by the element cap.  Hitting the cap yields an explicit
    inconclusive verdict instead of an answer.
+
+check_pair, which replays one witness, runs the same ladder on the single
+product a*g.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial
 from typing import Callable, Iterator, Sequence
 
@@ -47,7 +51,7 @@ from .semigroups import (
     certificate_from_matrix,
     decode_encodings,
     encode_rows,
-    in_r_class,
+    in_r_class,  # not called here; perfbench/tracer.py wraps this name
 )
 from .transform import Permutation, Transformation
 
@@ -90,7 +94,7 @@ KNOWN_FAILING_MAPS: dict[tuple[int, str], tuple[int, ...]] = {
 }
 
 _CHECKPOINT_SECONDS = 60.0
-_PARALLEL_CHUNK = 128
+_SWEEP_BATCH = 128
 
 
 class SweepCacheMismatch(ValueError):
@@ -190,103 +194,63 @@ class _MapChecker:
         hits = np.flatnonzero(ok)
         return int(hits[0]) if hits.size else -1
 
-    def _conjugates_and_products(self, a: Transformation):
+    def _conjugates(self, a: Transformation) -> np.ndarray:
+        """Sorted distinct encodings of the conjugates a^g."""
         a64 = np.array(a.images, dtype=np.int64)
-        conj = np.take_along_axis(self.M, a64[self.Minv64], axis=1)
-        prods = self.M[:, a64]
-        return np.unique(encode_rows(conj)), prods
+        return np.unique(encode_rows(np.take_along_axis(self.M, a64[self.Minv64], axis=1)))
 
     def check(self, a: Transformation) -> NormalizingVerdict:
         """Decide whether every a*g lies in <a^G>."""
-        t0 = time.perf_counter()
         _require_singular(self.group, a)
-        label = self.group.label
-        conj_encs, prods = self._conjugates_and_products(a)
-        prod_encs = encode_rows(prods)
-        if self.section_mapper_index(a) < 0:
-            bad = np.flatnonzero(~_isin_sorted(prod_encs, conj_encs))
-            if bad.size == 0:
-                return NormalizingVerdict(
-                    STATUS_NORMALIZING, label, map=a, trace=("shortcut",),
-                    checked=1, seconds=time.perf_counter() - t0,
-                )
-            witness = FailureWitness(self.group.elements()[int(bad[0])], REASON_CONJUGATE)
+        prods = self.M[:, np.array(a.images, dtype=np.int64)]
+        return self._decide(a, prods, self.group.elements())
+
+    def check_pair(self, a: Transformation, g: Permutation) -> NormalizingVerdict:
+        """Decide membership of the single product a*g in <a^G>."""
+        _require_singular(self.group, a)
+        if g not in self.group:
+            raise ValueError(f"{g.cycle_string()} is not a member of {self.group.label}")
+        return self._decide(a, np.array([(a * g).images], dtype=np.int8), (g,))
+
+    def _decide(
+        self, a: Transformation, prods: np.ndarray, factors: Sequence[Permutation]
+    ) -> NormalizingVerdict:
+        """The strategy ladder over the products a*g given as rows.
+
+        Row i of prods is a * factors[i]; the first row found outside
+        <a^G> names factors[i] as the witness.
+        """
+        t0 = time.perf_counter()
+        conj_encs = self._conjugates(a)
+
+        def verdict(status: str, trace: tuple[str, ...], bad: int = -1, reason: str = ""):
+            witness = FailureWitness(factors[bad], reason) if bad >= 0 else None
             return NormalizingVerdict(
-                STATUS_NOT, label, map=a, witness=witness, trace=("shortcut",),
+                status, self.group.label, map=a, witness=witness, trace=trace,
                 checked=1, seconds=time.perf_counter() - t0,
             )
+
+        if self.section_mapper_index(a) < 0:
+            bad = np.flatnonzero(~_isin_sorted(encode_rows(prods), conj_encs))
+            if bad.size:
+                return verdict(STATUS_NOT, ("shortcut",), int(bad[0]), REASON_CONJUGATE)
+            return verdict(STATUS_NORMALIZING, ("shortcut",))
         conj_rows = decode_encodings(conj_encs, self.group.degree)
         cert = certificate_from_matrix(conj_rows, a)
         bad = np.flatnonzero(~cert.contains_products(prods))
         if bad.size == 0:
-            return NormalizingVerdict(
-                STATUS_NORMALIZING, label, map=a, trace=("r-class",),
-                checked=1, seconds=time.perf_counter() - t0,
-            )
+            return verdict(STATUS_NORMALIZING, ("r-class",))
         gens = [Transformation(int(v) for v in row) for row in conj_rows]
         sgp = TransSemigroup(gens, cap=self.cap, min_rank=a.rank)
+        trace = ("r-class", "closure")
         capped = False
-        for i in bad:
-            t = Transformation(int(v) for v in prods[int(i)])
+        for i in bad.tolist():
             try:
-                if not sgp.contains(t):
-                    witness = FailureWitness(
-                        self.group.elements()[int(i)], REASON_MEMBERSHIP
-                    )
-                    return NormalizingVerdict(
-                        STATUS_NOT, label, map=a, witness=witness,
-                        trace=("r-class", "closure"), checked=1,
-                        seconds=time.perf_counter() - t0,
-                    )
+                if not sgp.contains(Transformation(int(v) for v in prods[i])):
+                    return verdict(STATUS_NOT, trace, i, REASON_MEMBERSHIP)
             except ClosureCapExceeded:
                 capped = True
-        status = STATUS_INCONCLUSIVE if capped else STATUS_NORMALIZING
-        return NormalizingVerdict(
-            status, label, map=a, trace=("r-class", "closure"),
-            checked=1, seconds=time.perf_counter() - t0,
-        )
-
-    def check_pair(self, a: Transformation, g: Permutation) -> NormalizingVerdict:
-        """Decide membership of the single product a*g in <a^G>."""
-        t0 = time.perf_counter()
-        _require_singular(self.group, a)
-        if g not in self.group:
-            raise ValueError(f"{g.cycle_string()} is not a member of {self.group.label}")
-        label = self.group.label
-        ag = a * g
-        conj_encs, _ = self._conjugates_and_products(a)
-        if self.section_mapper_index(a) < 0:
-            inside = bool(_isin_sorted(np.array([ag.encode()]), conj_encs)[0])
-            return self._pair_verdict(
-                a, g, inside, REASON_CONJUGATE, ("shortcut",), t0, label
-            )
-        conj_rows = decode_encodings(conj_encs, self.group.degree)
-        cert = certificate_from_matrix(conj_rows, a)
-        if in_r_class(cert, ag):
-            return self._pair_verdict(a, g, True, "", ("r-class",), t0, label)
-        gens = [Transformation(int(v) for v in row) for row in conj_rows]
-        sgp = TransSemigroup(gens, cap=self.cap, min_rank=a.rank)
-        try:
-            inside = sgp.contains(ag)
-        except ClosureCapExceeded:
-            return NormalizingVerdict(
-                STATUS_INCONCLUSIVE, label, map=a, trace=("r-class", "closure"),
-                checked=1, seconds=time.perf_counter() - t0,
-            )
-        return self._pair_verdict(
-            a, g, inside, REASON_MEMBERSHIP, ("r-class", "closure"), t0, label
-        )
-
-    def _pair_verdict(self, a, g, inside: bool, reason: str, trace, t0, label):
-        if inside:
-            return NormalizingVerdict(
-                STATUS_NORMALIZING, label, map=a, trace=trace,
-                checked=1, seconds=time.perf_counter() - t0,
-            )
-        return NormalizingVerdict(
-            STATUS_NOT, label, map=a, witness=FailureWitness(g, reason),
-            trace=trace, checked=1, seconds=time.perf_counter() - t0,
-        )
+        return verdict(STATUS_INCONCLUSIVE if capped else STATUS_NORMALIZING, trace)
 
 
 def exists_section_mapper(group: PermutationGroup, a: Transformation) -> Permutation | None:
@@ -322,6 +286,39 @@ def check_pair(
 # -- conjugation-orbit enumeration ---------------------------------------------
 
 
+def _conjugation_action(group: PermutationGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The generators and their inverses as int64 image rows (identity if none)."""
+    gens = group.generators or (Permutation.identity(group.degree),)
+    return (
+        np.array([g.images for g in gens], dtype=np.int64),
+        np.array([g.inverse().images for g in gens], dtype=np.int64),
+    )
+
+
+def _conjugation_orbit(
+    action: tuple[np.ndarray, np.ndarray], enc: int, seen: Bitmap
+) -> np.ndarray:
+    """Mark the conjugation orbit of the unmarked map enc in seen.
+
+    Breadth-first, one vectorized step per layer.  Returns the encodings
+    it marked, enc first; that is the whole orbit whenever seen holds
+    only whole orbits, as in the sweep and the class check.
+    """
+    gen, ginv = action
+    seen.set(enc)
+    fresh = np.array([enc], dtype=np.int64)
+    found = [fresh]
+    while True:
+        F = decode_encodings(fresh, gen.shape[1]).astype(np.int64)
+        cand = np.concatenate([g[F[:, gi]] for g, gi in zip(gen, ginv)])
+        encs = np.unique(encode_rows(cand))
+        fresh = encs[~seen.test_batch(encs)]
+        if not fresh.size:
+            return np.concatenate(found)
+        seen.set_batch(fresh)
+        found.append(fresh)
+
+
 class ConjugacySweep:
     """Ascending enumeration of conjugation-orbit representatives on T_n.
 
@@ -355,52 +352,27 @@ class ConjugacySweep:
         self.meta: dict = {}
         self.bitmap = Bitmap(self.total)
         self._premark_permutations()
-        gens = group.generators or (Permutation.identity(n),)
-        self._gen = np.array([g.images for g in gens], dtype=np.int64)
-        self._ginv = np.array([g.inverse().images for g in gens], dtype=np.int64)
+        self._action = _conjugation_action(group)
 
     def _premark_permutations(self) -> None:
         rows = np.array(list(permutations(range(self.degree))), dtype=np.int8)
         self.bitmap.set_batch(encode_rows(rows))
 
-    def _expand_orbit(self, enc: int) -> int:
-        self.bitmap.set(enc)
-        frontier = decode_encodings(np.array([enc], dtype=np.int64), self.degree)
-        size = 1
-        while frontier.shape[0]:
-            F = frontier.astype(np.int64)
-            cand = np.concatenate(
-                [g[F[:, ginv]] for g, ginv in zip(self._gen, self._ginv)]
-            ).astype(np.int8)
-            encs = np.unique(encode_rows(cand))
-            fresh = encs[~self.bitmap.test_batch(encs)]
-            if not fresh.size:
-                break
-            self.bitmap.set_batch(fresh)
-            size += fresh.shape[0]
-            frontier = decode_encodings(fresh, self.degree)
-        return size
-
-    def __iter__(self) -> Iterator[tuple[Transformation, int]]:
-        while True:
-            enc = self.bitmap.next_unset(self.cursor)
-            if enc is None:
-                self.cursor = self.total
-                return
-            size = self._expand_orbit(enc)
+    def _advance(self) -> Iterator[tuple[int, int]]:
+        """Expand each unseen orbit from the cursor on: (least encoding, size)."""
+        while (enc := self.bitmap.next_unset(self.cursor)) is not None:
+            size = _conjugation_orbit(self._action, enc, self.bitmap).shape[0]
             self.cursor = enc + 1
             self.orbits += 1
             self.singular_seen += size
-            if self.rank is None:
-                yield self._decode(enc), size
-            else:
-                rep = self._decode(enc)
-                if rep.rank == self.rank:
-                    yield rep, size
+            yield enc, size
+        self.cursor = self.total
 
-    def _decode(self, enc: int) -> Transformation:
-        row = decode_encodings(np.array([enc], dtype=np.int64), self.degree)[0]
-        return Transformation(int(v) for v in row)
+    def __iter__(self) -> Iterator[tuple[Transformation, int]]:
+        for enc, size in self._advance():
+            rep = Transformation.decode(self.degree, enc)
+            if self.rank is None or rep.rank == self.rank:
+                yield rep, size
 
     def run_to_end(self) -> None:
         """Expand every remaining orbit, keeping counters but no yields.
@@ -420,14 +392,8 @@ class ConjugacySweep:
                 self.singular_seen += fresh.shape[0]
                 self.cursor = end
             return
-        while True:
-            enc = self.bitmap.next_unset(self.cursor)
-            if enc is None:
-                self.cursor = self.total
-                return
-            self.singular_seen += self._expand_orbit(enc)
-            self.cursor = enc + 1
-            self.orbits += 1
+        for _ in self._advance():
+            pass
 
     @property
     def complete(self) -> bool:
@@ -468,6 +434,13 @@ class ConjugacySweep:
     def load(
         cls, path: str, group: PermutationGroup, *, rank: int | None = None
     ) -> "ConjugacySweep":
+        """Resume a saved sweep, refusing a foreign or inconsistent cache.
+
+        Consistency: the bitmap holds the n! premarked permutations plus
+        every map counted in singular_seen, and meta["checked"] counts
+        every representative enumerated (only those of the filtered rank
+        under a rank filter), so a resume never skips an unchecked map.
+        """
         sweep = cls(group, rank=rank)
         with open(path, "rb") as fh:
             header_line = fh.readline()
@@ -484,6 +457,19 @@ class ConjugacySweep:
         sweep.orbits = header["orbits"]
         sweep.singular_seen = header["singular_seen"]
         sweep.meta = header.get("meta", {})
+        marked = sweep.bitmap.popcount()
+        if marked != factorial(sweep.degree) + sweep.singular_seen:
+            raise SweepCacheMismatch(
+                f"cache field 'singular_seen' is {sweep.singular_seen} but the bitmap "
+                f"marks {marked} maps including {factorial(sweep.degree)} permutations; "
+                f"the cache is corrupt, delete {path} and rerun"
+            )
+        checked = sweep.meta.get("checked", 0)
+        if checked > sweep.orbits or (rank is None and checked != sweep.orbits):
+            raise SweepCacheMismatch(
+                f"cache field 'meta.checked' is {checked} but {sweep.orbits} orbits were "
+                f"enumerated; the cache is corrupt, delete {path} and rerun"
+            )
         return sweep
 
 
@@ -509,29 +495,30 @@ def _worker_init(gen_images: tuple, degree: int, label: str, cap: int) -> None:
     _WORKER_CHECKER = _MapChecker(group, cap)
 
 
-def _worker_check(encs: Sequence[int]) -> list[tuple]:
-    assert _WORKER_CHECKER is not None
+def _check_batch(
+    checker: _MapChecker, reps: Sequence[Transformation]
+) -> list[NormalizingVerdict]:
+    """Verdicts for reps in order, ending at the first not-normalizing one."""
     out = []
-    n = _WORKER_CHECKER.group.degree
-    for enc in encs:
-        rep = Transformation.decode(n, enc)
-        v = _WORKER_CHECKER.check(rep)
-        g = v.witness.g.images if v.witness else None
-        reason = v.witness.reason if v.witness else None
-        out.append((enc, v.status, g, reason, v.trace))
+    for rep in reps:
+        out.append(checker.check(rep))
+        if out[-1].status == STATUS_NOT:
+            break
     return out
 
 
-def _sweep_verdict_from_tuple(
-    group: PermutationGroup, item: tuple, checked: int, t0: float
-) -> NormalizingVerdict:
-    enc, status, g_images, reason, trace = item
-    witness = FailureWitness(Permutation(g_images), reason) if g_images else None
-    return NormalizingVerdict(
-        status, group.label, map=Transformation.decode(group.degree, enc),
-        witness=witness, trace=("sweep",) + tuple(trace), checked=checked,
-        seconds=time.perf_counter() - t0,
-    )
+def _worker_check(reps: Sequence[Transformation]) -> list[NormalizingVerdict]:
+    assert _WORKER_CHECKER is not None
+    return _check_batch(_WORKER_CHECKER, reps)
+
+
+class _InlineExecutor(Executor):
+    """Runs each submission to completion in the calling process."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
 
 
 def _analytic_verdict(group: PermutationGroup, t0: float) -> NormalizingVerdict:
@@ -565,11 +552,10 @@ def _sweep_check(
         sweep = ConjugacySweep(group, rank=rank)
     checked = int(sweep.meta.get("checked", 0))
     inconclusive: list[int] = list(sweep.meta.get("inconclusive", []))
-    last_tick = time.monotonic()
-    last_save = time.monotonic()
+    last_tick = last_save = time.monotonic()
 
-    def tick(force: bool = False) -> None:
-        nonlocal last_tick, last_save
+    def report(force: bool = False) -> None:
+        nonlocal last_tick
         now = time.monotonic()
         if progress and (force or now - last_tick >= progress_interval):
             last_tick = now
@@ -579,92 +565,75 @@ def _sweep_check(
                     sweep.singular_total, time.perf_counter() - t0,
                 )
             )
-        if cache_path and (force or now - last_save >= _CHECKPOINT_SECONDS):
-            last_save = now
-            sweep.meta.update(checked=checked, inconclusive=inconclusive)
-            sweep.save(cache_path)
 
-    def finalize(item: tuple | None) -> NormalizingVerdict:
-        tick(force=True)
-        if item is not None:
-            return _sweep_verdict_from_tuple(group, item, checked, t0)
-        if inconclusive:
-            return NormalizingVerdict(
-                STATUS_INCONCLUSIVE, group.label,
-                map=Transformation.decode(group.degree, inconclusive[0]),
-                trace=("sweep",), checked=checked,
-                seconds=time.perf_counter() - t0,
-            )
-        return NormalizingVerdict(
-            STATUS_NORMALIZING, group.label, trace=("sweep",),
-            checked=checked, seconds=time.perf_counter() - t0,
-        )
+    def checkpoint() -> None:
+        nonlocal last_save
+        last_save = time.monotonic()
+        sweep.meta.update(checked=checked, inconclusive=inconclusive)
+        sweep.save(cache_path)
 
     if workers <= 1:
-        checker = _MapChecker(group, cap)
-        for rep, _ in sweep:
-            v = checker.check(rep)
-            checked += 1
-            if v.status == STATUS_NOT:
-                return NormalizingVerdict(
-                    v.status, group.label, map=rep, witness=v.witness,
-                    trace=("sweep",) + v.trace, checked=checked,
-                    seconds=time.perf_counter() - t0,
-                )
-            if v.status == STATUS_INCONCLUSIVE:
-                inconclusive.append(rep.encode())
-            tick()
-        return finalize(None)
+        # the caller's group, whose element matrix is already built; one
+        # batch at a time, so no map after a failure is ever checked
+        pool: Executor = _InlineExecutor()
+        check = functools.partial(_check_batch, _MapChecker(group, cap))
+        depth = 1
+    else:
+        gen_images = tuple(g.images for g in group.generators)
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_worker_init,
+            initargs=(gen_images, group.degree, group.label, cap),
+        )
+        check = _worker_check
+        depth = 2 * workers
+    reps = (rep for rep, _ in sweep)
+    pending: deque[Future] = deque()
 
-    gen_images = tuple(g.images for g in group.generators)
-    stream = iter(sweep)
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_worker_init,
-        initargs=(gen_images, group.degree, group.label, cap),
-    ) as pool:
-        pending: deque = deque()
-        exhausted = False
+    def refill() -> None:
+        while len(pending) < depth:
+            batch = list(islice(reps, _SWEEP_BATCH))
+            if not batch:
+                return
+            pending.append(pool.submit(check, batch))
 
-        def submit_next() -> None:
-            nonlocal exhausted
-            batch = []
-            for rep, _ in stream:
-                batch.append(rep.encode())
-                if len(batch) >= _PARALLEL_CHUNK:
-                    break
-            if batch:
-                pending.append(pool.submit(_worker_check, batch))
-            if len(batch) < _PARALLEL_CHUNK:
-                exhausted = True
-
-        while not exhausted and len(pending) < workers * 2:
-            submit_next()
+    with pool:
+        refill()
         while pending:
-            results = pending.popleft().result()
-            for item in results:
+            for v in pending.popleft().result():
                 checked += 1
-                status = item[1]
-                if status == STATUS_NOT:
+                if v.status == STATUS_NOT:
                     for f in pending:
                         f.cancel()
-                    return finalize(item)
-                if status == STATUS_INCONCLUSIVE:
-                    inconclusive.append(item[0])
-            # checkpoints need bitmap and verdicts in step, so pause
-            # refills until every enumerated representative is verified
-            drain = cache_path is not None and (
-                time.monotonic() - last_save >= _CHECKPOINT_SECONDS
-            )
-            if not exhausted and not drain:
-                submit_next()
-            if not pending:
-                tick(force=cache_path is not None and not exhausted)
-                while not exhausted and len(pending) < workers * 2:
-                    submit_next()
-            elif progress:
-                tick()
-    return finalize(None)
+                    return NormalizingVerdict(
+                        v.status, group.label, map=v.map, witness=v.witness,
+                        trace=("sweep",) + v.trace, checked=checked,
+                        seconds=time.perf_counter() - t0,
+                    )
+                if v.status == STATUS_INCONCLUSIVE:
+                    inconclusive.append(v.map.encode())
+            report()
+            # a checkpoint must not record maps still in flight: once one
+            # is due, submit nothing until every pending batch is back
+            if cache_path and time.monotonic() - last_save >= _CHECKPOINT_SECONDS:
+                if not pending:
+                    checkpoint()
+                    refill()
+            else:
+                refill()
+    report(force=True)
+    if cache_path:
+        checkpoint()
+    if inconclusive:
+        return NormalizingVerdict(
+            STATUS_INCONCLUSIVE, group.label,
+            map=Transformation.decode(group.degree, inconclusive[0]),
+            trace=("sweep",), checked=checked, seconds=time.perf_counter() - t0,
+        )
+    return NormalizingVerdict(
+        STATUS_NORMALIZING, group.label, trace=("sweep",),
+        checked=checked, seconds=time.perf_counter() - t0,
+    )
 
 
 def is_normalizing(
@@ -718,15 +687,17 @@ def is_class_normalizing(
     if n > MAX_SWEEP_DEGREE:
         raise ValueError(f"class sweeps stop at degree {MAX_SWEEP_DEGREE}")
     sym = catalog(f"S{n}", n)
-    class_encs = _conjugation_orbit(sym, a.encode(), n)
+    class_encs = np.sort(
+        _conjugation_orbit(_conjugation_action(sym), a.encode(), Bitmap(n**n))
+    )
+    # the least member of each G-orbit inside the class
+    action = _conjugation_action(group)
+    seen = Bitmap(n**n)
     reps: list[Transformation] = []
-    seen = np.zeros(class_encs.shape[0], dtype=bool)
-    for i in range(class_encs.shape[0]):
-        if seen[i]:
-            continue
-        orbit = _conjugation_orbit(group, int(class_encs[i]), n)
-        seen[np.searchsorted(class_encs, orbit)] = True
-        reps.append(Transformation.decode(n, int(class_encs[i])))
+    for enc in class_encs.tolist():
+        if not seen.test(enc):
+            _conjugation_orbit(action, enc, seen)
+            reps.append(Transformation.decode(n, enc))
     checker = _MapChecker(group, cap)
     # mapper-free representatives decide via the exact shortcut; try them first
     reps.sort(key=lambda r: (checker.section_mapper_index(r) >= 0, r.encode()))
@@ -746,25 +717,6 @@ def is_class_normalizing(
         status, group.label, map=a, trace=("class-sweep",),
         checked=len(reps), seconds=time.perf_counter() - t0,
     )
-
-
-def _conjugation_orbit(group: PermutationGroup, enc: int, n: int) -> np.ndarray:
-    """Sorted encodings of the conjugation orbit of one transformation."""
-    gens = group.generators or (Permutation.identity(n),)
-    gen = np.array([g.images for g in gens], dtype=np.int64)
-    ginv = np.array([g.inverse().images for g in gens], dtype=np.int64)
-    seen = {enc}
-    frontier = decode_encodings(np.array([enc], dtype=np.int64), n)
-    while frontier.shape[0]:
-        F = frontier.astype(np.int64)
-        cand = np.concatenate([g[F[:, gi]] for g, gi in zip(gen, ginv)]).astype(np.int8)
-        encs = np.unique(encode_rows(cand))
-        fresh = np.array([e for e in encs.tolist() if e not in seen], dtype=np.int64)
-        if not fresh.size:
-            break
-        seen.update(fresh.tolist())
-        frontier = decode_encodings(fresh, n)
-    return np.array(sorted(seen), dtype=np.int64)
 
 
 def m12_witness_check(*, cap: int = DEFAULT_CAP) -> NormalizingVerdict:
@@ -880,16 +832,13 @@ def _certified_homogeneity_witness(
 ) -> Transformation | None:
     """The standard witness map, only if it provably escapes <a^G>.
 
-    Mapper absence holds by construction, so the conjugate comparison is
-    an exact membership test at full rank.  Small degrees admit failed
-    pairings whose standard map is still normalized (a C2 fixing two of
-    four points, say), and those return None.
+    Mapper absence holds by construction, so the check ends at the exact
+    shortcut stage.  Small degrees admit failed pairings whose standard
+    map is still normalized (a C2 fixing two of four points, say), and
+    those return None.
     """
     witness = _homogeneity_witness(checker.group.degree, I, J)
-    conj_encs, prods = checker._conjugates_and_products(witness)
-    if bool(_isin_sorted(encode_rows(prods), conj_encs).all()):
-        return None
-    return witness
+    return witness if checker.check(witness).status == STATUS_NOT else None
 
 
 def structural_filters(group: PermutationGroup) -> FilterReport:

@@ -25,7 +25,7 @@ import functools
 from collections import deque
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -73,7 +73,6 @@ class TransSemigroup:
         generators: Sequence[Transformation],
         *,
         cap: int = DEFAULT_CAP,
-        track_words: bool = False,
         min_rank: int | None = None,
     ):
         """Grow the closure of `generators`.
@@ -101,7 +100,6 @@ class TransSemigroup:
         self.generators = gens
         self.degree = n
         self.cap = cap
-        self.track_words = track_words
         self.min_rank = min_rank
         self._gen_matrix = np.array([g.images for g in gens], dtype=np.int8)
         self._capped = False
@@ -113,19 +111,14 @@ class TransSemigroup:
             self._seen_sorted = np.empty(0, dtype=np.int64)
         self._enc_chunks: list[np.ndarray] = []
         self._count = 0
-        self._parent_chunks: list[np.ndarray] = []
-        self._gen_chunks: list[np.ndarray] = []
-        self._side_chunks: list[np.ndarray] = []
         # round 0: the generators themselves
         gen_encs = encode_rows(self._gen_matrix)
         uniq, first = np.unique(gen_encs, return_index=True)
         order = np.argsort(first)
         uniq, first = uniq[order], first[order]
         self._mark(uniq)
-        self._append(uniq, np.full(uniq.shape, -1, np.int64), first.astype(np.int32),
-                     np.zeros(uniq.shape, np.uint8))
+        self._append(uniq)
         self._frontier = self._gen_matrix[first]
-        self._frontier_ids = np.arange(uniq.shape[0], dtype=np.int64)
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -145,13 +138,9 @@ class TransSemigroup:
             return self._seen_bitmap.test(enc)
         return bool(np.isin(enc, self._seen_sorted))
 
-    def _append(self, encs, parents, gens, sides) -> None:
+    def _append(self, encs: np.ndarray) -> None:
         self._enc_chunks.append(encs)
         self._count += encs.shape[0]
-        if self.track_words:
-            self._parent_chunks.append(parents)
-            self._gen_chunks.append(gens)
-            self._side_chunks.append(sides)
 
     # -- closure --------------------------------------------------------------
 
@@ -174,12 +163,10 @@ class TransSemigroup:
 
     def _advance_round(self) -> None:
         F = self._frontier
-        ids = self._frontier_ids
         m = self._gen_matrix.shape[0]
         f = F.shape[0]
         gen_chunk = max(1, _CANDIDATE_ROW_BUDGET // max(2 * f, 1))
         new_rows: list[np.ndarray] = []
-        new_encs: list[np.ndarray] = []
         for g0 in range(0, m, gen_chunk):
             gm = self._gen_matrix[g0 : g0 + gen_chunk]
             k = gm.shape[0]
@@ -193,39 +180,24 @@ class TransSemigroup:
             if not fresh.any():
                 continue
             cand, encs = cand[fresh], encs[fresh]
-            fresh_idx = np.flatnonzero(fresh)
             if self.min_rank is not None:
                 srt = np.sort(cand, axis=1)
                 ranks = (np.diff(srt.astype(np.int16), axis=1) != 0).sum(axis=1) + 1
                 tall = ranks >= self.min_rank
                 if not tall.any():
                     continue
-                cand, encs, fresh_idx = cand[tall], encs[tall], fresh_idx[tall]
+                cand, encs = cand[tall], encs[tall]
             uniq, first = np.unique(encs, return_index=True)
             self._mark(uniq)
             keep = np.sort(first)
-            rows = cand[keep]
-            encs = encs[keep]
-            if self.track_words:
-                flat = fresh_idx[keep]
-                is_left = flat >= f * k
-                pos = np.where(is_left, flat - f * k, flat)
-                parents = ids[(pos % f).astype(np.int64)]
-                gens = (g0 + (pos // f)).astype(np.int32)
-                self._append(encs, parents, gens, is_left.astype(np.uint8))
-            else:
-                self._append(encs, None, None, None)
-            new_rows.append(rows)
-            new_encs.append(encs)
+            self._append(encs[keep])
+            new_rows.append(cand[keep])
             if self._count > self.cap:
                 break
         if new_rows:
             self._frontier = np.concatenate(new_rows)
-            base = self._count - sum(r.shape[0] for r in new_rows)
-            self._frontier_ids = np.arange(base, self._count, dtype=np.int64)
         else:
             self._frontier = np.empty((0, self.degree), dtype=np.int8)
-            self._frontier_ids = np.empty(0, dtype=np.int64)
         if self._count > self.cap:
             self._capped = True
 
@@ -269,39 +241,6 @@ class TransSemigroup:
 
     def __iter__(self) -> Iterator[Transformation]:
         return self.elements()
-
-    def word_for(self, t: Transformation) -> tuple[int, ...]:
-        """Generator indices whose left-to-right product equals t."""
-        if not self.track_words:
-            raise ValueError("semigroup built without track_words")
-        if not self.contains(t):
-            raise KeyError(f"{t} is not in the semigroup")
-        enc = t.encode()
-        idx = None
-        base = 0
-        for chunk in self._enc_chunks:
-            hit = np.flatnonzero(chunk == enc)
-            if hit.size:
-                idx = base + int(hit[0])
-                break
-            base += chunk.shape[0]
-        assert idx is not None
-        parents = np.concatenate(self._parent_chunks)
-        gens = np.concatenate(self._gen_chunks)
-        sides = np.concatenate(self._side_chunks)
-        # unwinding outside-in: left-side factors accumulate after earlier
-        # left factors, right-side factors before earlier right factors
-        prefix: list[int] = []
-        suffix: list[int] = []
-        while True:
-            p, g, s = int(parents[idx]), int(gens[idx]), int(sides[idx])
-            if p == -1:
-                return tuple(prefix + [g] + suffix[::-1])
-            if s == 0:
-                suffix.append(g)
-            else:
-                prefix.append(g)
-            idx = p
 
     # -- structure ------------------------------------------------------------
 
@@ -381,11 +320,6 @@ class TransSemigroup:
             if int(target @ rpow) not in hit:
                 return False
         return True
-
-
-def closure(s: TransSemigroup) -> TransSemigroup:
-    """Run s to completion (or its cap) and return it."""
-    return s.close()
 
 
 # ---------------------------------------------------------------------------

@@ -349,25 +349,7 @@ def _parse_cycles(text: str, degree: int | None) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# free-function surface mirroring the method names
-
-def compose(s: Transformation, t: Transformation) -> Transformation:
-    """Left-to-right product s * t."""
-    return s * t
-
-
-def conjugate(a: Transformation, g: Permutation) -> Transformation:
-    """g^-1 * a * g."""
-    return a.conjugated_by(g)
-
-
-def kernel(a: Transformation) -> KernelPartition:
-    return a.kernel()
-
-
-def image(a: Transformation) -> tuple[int, ...]:
-    return a.image()
-
+# helpers over the classes above
 
 def is_section(points: Iterable[int], partition: KernelPartition) -> bool:
     """True iff the point set meets every class of the partition exactly once."""
@@ -380,14 +362,6 @@ def is_section(points: Iterable[int], partition: KernelPartition) -> bool:
             return False
         seen.add(c)
     return len(seen) == partition.num_classes
-
-
-def encode(a: Transformation) -> int:
-    return a.encode()
-
-
-def decode(degree: int, index: int) -> Transformation:
-    return Transformation.decode(degree, index)
 
 
 def all_transformations(degree: int) -> Iterator[Transformation]:

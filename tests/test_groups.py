@@ -74,47 +74,45 @@ def test_element_matrix_and_inverses():
         assert composed == list(range(5))
 
 
+def test_membership_agrees_with_elements():
+    rng = random.Random(11)
+    groups = [catalog("C5", 5), catalog("A4", 4), catalog("PSL(2,5)", 6),
+              PermutationGroup([], degree=3)]
+    for g in groups:
+        members = set(g.elements())
+        assert all(p in g for p in members)
+        for _ in range(60):
+            images = list(range(g.degree))
+            rng.shuffle(images)
+            p = Permutation(images)
+            assert (p in g) == (p in members), (g.label, p)
+    a4 = catalog("A4", 4)
+    assert Permutation.parse("(1 2)", 4) not in a4
+    assert Permutation.identity(3) not in a4 and Permutation.identity(5) not in a4
+    assert Transformation.parse("1,2,3,4") not in a4  # identity images, not a Permutation
+    assert Transformation.parse("1,1,2,3") not in a4
+    assert "(1 2 3)" not in a4
+
+
 def test_conjugated_copy_same_order():
     g = catalog("D(2*5)", 5)
     p = Permutation.parse("(1 3 5 2 4)")
     assert g.conjugated_by(p).order() == g.order()
 
 
-def test_orbit_points_and_words():
+def test_orbit_points():
     g = catalog("C5", 5)
     orb = g.orbit(0)
-    assert sorted(orb.members) == [0, 1, 2, 3, 4]
-    for member in orb.members:
-        assert orb.replay(orb.word(member)) == member
-
-
-def test_orbit_sets_action():
-    g = catalog("M12", 12)
-    orb = g.orbit(tuple(range(6)), action="sets")
-    assert g.order() % len(orb) == 0
-    w = orb.word(orb.members[-1])
-    assert orb.replay(w) == orb.members[-1]
-
-
-def test_orbit_right_and_conjugation_sizes_divide_order():
-    g = catalog("AGL(1,5)", 5)
-    a = Transformation.parse("1,1,3,4,1")
-    for action in ("right", "conjugation"):
-        orb = g.orbit(a, action=action)
-        assert g.order() % len(orb) == 0
-        for member in list(orb)[:5]:
-            assert orb.replay(orb.word(member)) == member
-    assert len(g.orbit(a, action="right")) == len({(a * h).images for h in g.elements()})
+    assert orb[0] == 0 and sorted(orb) == [0, 1, 2, 3, 4]
+    assert g.orbit(2) == (2, 3, 4, 0, 1)  # discovery order along (1 2 3 4 5)
+    assert PermutationGroup([Permutation.parse("(1 2)", 4)]).orbit(3) == (3,)
 
 
 def test_orbit_rejects_bad_seeds():
     g = catalog("C5", 5)
-    with pytest.raises(ValueError):
-        g.orbit(9)
-    with pytest.raises(ValueError):
-        g.orbit(0, action="nope")
-    with pytest.raises(ValueError):
-        g.orbit(Transformation.parse("1,1"), action="right")
+    for seed in (9, -1, (0, 1)):
+        with pytest.raises(ValueError):
+            g.orbit(seed)
 
 
 def test_transitivity():

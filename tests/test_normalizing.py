@@ -6,12 +6,16 @@ and test every product a*g directly.  A slower pure-python closure
 cross-checks a sample of those referees in turn.
 """
 
+import json
 import os
 import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from normgroups import normalizing
 from normgroups.catalog import catalog, catalog_labels
 from normgroups.groups import PermutationGroup
 from normgroups.normalizing import (
@@ -112,6 +116,39 @@ def test_referee_against_python_closure():
         assert set(sgp.elements()) == closure
         want = all((rep * g) in closure for g in group.elements())
         assert referee_a_normalizing(group, rep) == want
+
+
+@st.composite
+def groups_and_maps(draw):
+    n = draw(st.integers(4, 6))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))
+    images = draw(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n).filter(
+            lambda im: len(set(im)) < n
+        )
+    )
+    group = PermutationGroup([Permutation(g) for g in gens], label="random")
+    return group, Transformation(images)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(groups_and_maps())
+def test_ladder_matches_closure_on_random_groups(case):
+    # check_pair and is_a_normalizing share one staged ladder; both must
+    # agree with plain membership in the rank-pruned closure
+    group, a = case
+    oracle = TransSemigroup(sorted(conjugate_set(group, a)), min_rank=a.rank)
+    inside = {}
+    for g in group.elements():
+        pair = check_pair(group, a, g)
+        inside[g] = oracle.contains(a * g)
+        assert pair.normalizing == inside[g], (a.one_based(), g.cycle_string())
+    v = is_a_normalizing(group, a)
+    assert v.normalizing == all(inside.values())
+    if not v.normalizing:
+        assert v.status == STATUS_NOT
+        assert not inside[v.witness.g]
+        assert check_pair(group, a, v.witness.g).status == STATUS_NOT
 
 
 def test_verdict_invariant_under_relabeling():
@@ -301,6 +338,34 @@ def test_cache_roundtrip_resume_and_mismatch(tmp_path):
         ConjugacySweep.load(path, group, rank=2)
 
 
+def test_load_refuses_inconsistent_cache(tmp_path):
+    group = catalog("A4", 4)
+    path = tmp_path / "a4.sweep"
+    for rank in (None, 2):
+        sweep = ConjugacySweep(group, rank=rank)
+        stream = iter(sweep)
+        reps = [next(stream) for _ in range(3)]
+        sweep.meta["checked"] = len(reps)
+        sweep.save(str(path))
+        assert ConjugacySweep.load(str(path), group, rank=rank).orbits == sweep.orbits
+        header, body = path.read_bytes().split(b"\n", 1)
+        flipped = bytes([body[0] ^ 1]) + body[1:]
+        corruptions = [
+            ("singular_seen", lambda h: h.update(singular_seen=h["singular_seen"] + 1), body),
+            ("singular_seen", lambda h: None, flipped),
+            ("meta.checked", lambda h: h["meta"].update(checked=h["orbits"] + 1), body),
+        ]
+        if rank is None:
+            corruptions.append(("meta.checked", lambda h: h["meta"].update(checked=2), body))
+        for field, mutate, raw in corruptions:
+            h = json.loads(header)
+            mutate(h)
+            path.write_bytes(json.dumps(h).encode() + b"\n" + raw)
+            with pytest.raises(SweepCacheMismatch) as err:
+                ConjugacySweep.load(str(path), group, rank=rank)
+            assert repr(field) in str(err.value) and "delete" in str(err.value)
+
+
 # -- sweeping decisions ------------------------------------------------------
 
 
@@ -403,6 +468,38 @@ def test_resume_preserves_verdict(tmp_path):
     resumed = is_normalizing(group, cache_path=path)
     assert resumed.status == fresh.status
     assert resumed.checked == fresh.checked
+
+
+def test_checkpoints_record_only_checked_maps(tmp_path, monkeypatch):
+    # with a checkpoint due after every batch, a save while batches are
+    # still in flight would store orbits that no verdict covers
+    monkeypatch.setattr(normalizing, "_CHECKPOINT_SECONDS", 0)
+    saves = []
+    save = ConjugacySweep.save
+
+    def spy(sweep, path):
+        saves.append((sweep.meta["checked"], sweep.orbits))
+        save(sweep, path)
+
+    monkeypatch.setattr(ConjugacySweep, "save", spy)
+    v = is_normalizing(
+        catalog("PSL(2,5)", 6), workers=2, cache_path=str(tmp_path / "psl.sweep"),
+        progress=lambda p: None, progress_interval=0,
+    )
+    assert v.status == STATUS_NORMALIZING
+    assert len(saves) > 1
+    assert all(checked == orbits for checked, orbits in saves), saves
+
+
+def test_failed_sweep_resumes_to_the_same_verdict(tmp_path):
+    path = str(tmp_path / "d10.sweep")
+    group = catalog("D(2*5)", 5)
+    first = is_normalizing(group, workers=2, cache_path=path)
+    second = is_normalizing(group, workers=2, cache_path=path)
+    assert first.status == second.status == STATUS_NOT
+    assert (first.map, first.witness, first.checked) == (
+        second.map, second.witness, second.checked
+    )
 
 
 def test_progress_callback_fires():

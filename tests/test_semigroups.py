@@ -7,7 +7,6 @@ from normgroups.catalog import catalog
 from normgroups.semigroups import (
     ClosureCapExceeded,
     TransSemigroup,
-    closure,
     in_r_class,
     r_class_certificate,
 )
@@ -51,7 +50,7 @@ def test_closure_generates_full_monoid():
         Permutation.parse("(1 2 3)"),
         Transformation.parse("1,1,2"),
     ]
-    s = closure(TransSemigroup(gens))
+    s = TransSemigroup(gens).close()
     assert len(s) == 27
     assert {t for t in s} == set(naive_closure(gens))
 
@@ -62,7 +61,7 @@ def test_closure_matches_oracle_randomized():
         n = rng.randrange(2, 5)
         k = rng.randrange(1, 4)
         gens = [Transformation([rng.randrange(n) for _ in range(n)]) for _ in range(k)]
-        s = closure(TransSemigroup(gens))
+        s = TransSemigroup(gens).close()
         assert {t for t in s} == naive_closure(gens)
 
 
@@ -92,40 +91,16 @@ def test_cap_gives_tristate_membership():
     assert s.contains(gens[2])  # already seen
     with pytest.raises(ClosureCapExceeded):
         s.contains(Transformation.parse("4,4,4,4"))
-    full = closure(TransSemigroup(gens))
+    full = TransSemigroup(gens).close()
     assert full.complete and len(full) == 256
 
 
 def test_element_order_is_deterministic():
     gens = [Transformation.parse("2,3,3"), Transformation.parse("1,1,2")]
-    e1 = list(closure(TransSemigroup(gens)).encodings())
-    e2 = list(closure(TransSemigroup(gens)).encodings())
+    e1 = list(TransSemigroup(gens).close().encodings())
+    e2 = list(TransSemigroup(gens).close().encodings())
     assert e1 == e2
     assert e1[0] == gens[0].encode() and e1[1] == gens[1].encode()
-
-
-def test_word_replay():
-    rng = random.Random(29)
-    for _ in range(15):
-        n = rng.randrange(2, 5)
-        gens = [Transformation([rng.randrange(n) for _ in range(n)]) for _ in range(3)]
-        s = closure(TransSemigroup(gens, track_words=True))
-        for t in s:
-            word = s.word_for(t)
-            assert word
-            prod = gens[word[0]]
-            for k in word[1:]:
-                prod = prod * gens[k]
-            assert prod == t
-
-
-def test_word_for_requires_tracking():
-    s = TransSemigroup([Transformation.parse("1,1,2")])
-    with pytest.raises(ValueError):
-        s.word_for(Transformation.parse("1,1,2"))
-    tracked = TransSemigroup([Transformation.parse("1,1,2")], track_words=True)
-    with pytest.raises(KeyError):
-        tracked.word_for(Transformation.parse("2,2,2"))
 
 
 def test_idempotents_of_full_monoid():
@@ -134,7 +109,7 @@ def test_idempotents_of_full_monoid():
         Permutation.parse("(1 2 3)"),
         Transformation.parse("1,1,2"),
     ]
-    s = closure(TransSemigroup(gens))
+    s = TransSemigroup(gens).close()
     idems = s.idempotents()
     assert len(idems) == 10  # sum over k of C(3,k) * k^(3-k)
     assert all(e * e == e for e in idems)
@@ -143,23 +118,23 @@ def test_idempotents_of_full_monoid():
 
 def test_idempotent_generated_examples():
     a = Transformation.parse("2,3,3")
-    s = closure(TransSemigroup([a]))
+    s = TransSemigroup([a]).close()
     assert {t.one_based() for t in s} == {(2, 3, 3), (3, 3, 3)}
     assert not s.is_idempotent_generated()
     g = catalog("AGL(1,5)", 5)
     b = Transformation.parse("1,1,3,4,1")
     conj = sorted({b.conjugated_by(h) for h in g.elements()})
-    assert closure(TransSemigroup(conj)).is_idempotent_generated()
+    assert TransSemigroup(conj).close().is_idempotent_generated()
 
 
 def test_regularity_examples():
-    assert not closure(TransSemigroup([Transformation.parse("2,3,3")])).is_regular()
+    assert not TransSemigroup([Transformation.parse("2,3,3")]).close().is_regular()
     gens = [
         Permutation.parse("(1 2)", 3),
         Permutation.parse("(1 2 3)"),
         Transformation.parse("1,1,2"),
     ]
-    assert closure(TransSemigroup(gens)).is_regular()
+    assert TransSemigroup(gens).close().is_regular()
 
 
 def test_regularity_matches_brute_force():
@@ -167,7 +142,7 @@ def test_regularity_matches_brute_force():
     for _ in range(20):
         n = rng.randrange(2, 5)
         gens = [Transformation([rng.randrange(n) for _ in range(n)]) for _ in range(2)]
-        s = closure(TransSemigroup(gens))
+        s = TransSemigroup(gens).close()
         elems = list(s)
         naive = all(any(x * y * x == x for y in elems) for x in elems)
         assert s.is_regular() == naive
@@ -180,13 +155,13 @@ def test_min_rank_pruning_keeps_high_rank_members_exactly():
         gens = [Transformation([rng.randrange(n) for _ in range(n)]) for _ in range(3)]
         full = naive_closure(gens)
         r = min(t.rank for t in gens)
-        pruned = closure(TransSemigroup(gens, min_rank=r))
+        pruned = TransSemigroup(gens, min_rank=r).close()
         expected = {t for t in full if t.rank >= r} | set(gens)
         assert {t for t in pruned} == expected
         probe = next(iter(full))
         if probe.rank >= r:
             assert pruned.contains(probe)
-    s = closure(TransSemigroup([Transformation.parse("1,1,2")], min_rank=2))
+    s = TransSemigroup([Transformation.parse("1,1,2")], min_rank=2).close()
     with pytest.raises(ValueError):
         s.contains(Transformation.parse("1,1,1"))
     with pytest.raises(ValueError):
@@ -220,7 +195,7 @@ def test_certificate_matches_brute_force_r_class():
     g = catalog("PSL(2,5)", 6)
     a = Transformation.parse("1,1,2,2,1,2")
     conj = sorted({a.conjugated_by(h) for h in g.elements()})
-    s = closure(TransSemigroup(conj))
+    s = TransSemigroup(conj).close()
     elems = list(s)
     cert = r_class_certificate(conj, a)
     expected = brute_r_class(elems, a)

@@ -9,13 +9,7 @@ from normgroups.transform import (
     Permutation,
     Transformation,
     all_transformations,
-    compose,
-    conjugate,
-    decode,
-    encode,
-    image,
     is_section,
-    kernel,
 )
 
 
@@ -207,17 +201,6 @@ def test_image_list_parse_validation():
     a = Transformation.parse("1, 1, 3, 4, 1")
     assert a.one_based() == (1, 1, 3, 4, 1)
     assert str(a) == "1,1,3,4,1"
-
-
-def test_free_function_surface():
-    a = Transformation.parse("1,1,2")
-    g = Permutation.parse("(1 2 3)")
-    assert compose(a, a) == a * a
-    assert conjugate(a, g) == a.conjugated_by(g)
-    assert kernel(a) == a.kernel()
-    assert image(a) == a.image()
-    assert encode(a) == a.encode()
-    assert decode(3, encode(a)) == a
 
 
 def test_kernel_partition_rejects_bad_ids():
