@@ -16,7 +16,14 @@ Each map is checked with a fixed strategy order:
    Exact in both directions.
 2. r-class: test a*g for membership in the R-class of a inside <a^G>
    via the strong-orbit certificate.  Sufficient for membership but not
-   necessary, so only an all-pass is conclusive.
+   necessary, so only an all-pass is conclusive.  The certificate is
+   first built over growing subsets T of a^G (256 conjugates, then
+   doubling while 4|T| <= |a^G|; the last tier is all of a^G), each
+   holding a itself and an evenly strided pick of the sorted conjugates,
+   and each tier re-tests only the products the earlier ones rejected.
+   This is exact: if x is R-related to a in <T>, with a in T and T
+   within a^G, then x is R-related to a in <a^G>, so the tiers together
+   accept exactly what the full certificate accepts.
 3. closure: breadth-first closure of <a^G> pruned below rank(a); exact,
    but bounded by the element cap.  Hitting the cap yields an explicit
    inconclusive verdict instead of an answer.
@@ -51,6 +58,7 @@ from .semigroups import (
     certificate_from_matrix,
     decode_encodings,
     encode_rows,
+    isin_sorted,
     in_r_class,  # not called here; perfbench/tracer.py wraps this name
 )
 from .transform import Permutation, Transformation
@@ -95,6 +103,12 @@ KNOWN_FAILING_MAPS: dict[tuple[int, str], tuple[int, ...]] = {
 
 _CHECKPOINT_SECONDS = 60.0
 _SWEEP_BATCH = 128
+
+# r-class tiers: conjugate subsets of 256, 512, ... picks, each tried only
+# while 4 * its size <= |a^G|; a subset nearer |a^G| saves less than a
+# failed tier costs
+_TIER_FIRST = 256
+_TIER_CUTOFF = 4
 
 
 class SweepCacheMismatch(ValueError):
@@ -159,9 +173,21 @@ class SweepProgress:
 ProgressFn = Callable[[SweepProgress], None]
 
 
-def _isin_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(table, values).clip(max=table.shape[0] - 1)
-    return table[pos] == values
+def _conjugate_tiers(conj_encs: np.ndarray, anchor_enc: int) -> Iterator[np.ndarray | slice]:
+    """Index sets of the growing conjugate subsets the r-class stage tries.
+
+    Each subset holds the anchor plus an evenly strided pick from the
+    sorted encodings.  The first has _TIER_FIRST picks and each next one
+    doubles while _TIER_CUTOFF times its size is at most |a^G|; the last
+    tier is always all of a^G.
+    """
+    m = conj_encs.shape[0]
+    anchor = np.searchsorted(conj_encs, anchor_enc)
+    size = _TIER_FIRST
+    while _TIER_CUTOFF * size <= m:
+        yield np.union1d(np.arange(size, dtype=np.int64) * m // size, anchor)
+        size *= 2
+    yield slice(None)
 
 
 def _require_singular(group: PermutationGroup, a: Transformation) -> None:
@@ -231,15 +257,21 @@ class _MapChecker:
             )
 
         if self.section_mapper_index(a) < 0:
-            bad = np.flatnonzero(~_isin_sorted(encode_rows(prods), conj_encs))
+            bad = np.flatnonzero(~isin_sorted(encode_rows(prods), conj_encs))
             if bad.size:
                 return verdict(STATUS_NOT, ("shortcut",), int(bad[0]), REASON_CONJUGATE)
             return verdict(STATUS_NORMALIZING, ("shortcut",))
-        conj_rows = decode_encodings(conj_encs, self.group.degree)
-        cert = certificate_from_matrix(conj_rows, a)
-        bad = np.flatnonzero(~cert.contains_products(prods))
-        if bad.size == 0:
-            return verdict(STATUS_NORMALIZING, ("r-class",))
+        # a product R-related to a in <T>, with a in T within a^G, is
+        # R-related to a in <a^G>: a tier only accepts what the full
+        # certificate accepts, so each tier re-tests the rest
+        bad = np.arange(prods.shape[0])
+        for pick in _conjugate_tiers(conj_encs, a.encode()):
+            conj_rows = decode_encodings(conj_encs[pick], self.group.degree)
+            cert = certificate_from_matrix(conj_rows, a)
+            bad = bad[~cert.contains_products(prods[bad])]
+            if bad.size == 0:
+                return verdict(STATUS_NORMALIZING, ("r-class",))
+        # the last tier was all of a^G
         gens = [Transformation(int(v) for v in row) for row in conj_rows]
         sgp = TransSemigroup(gens, cap=self.cap, min_rank=a.rank)
         trace = ("r-class", "closure")

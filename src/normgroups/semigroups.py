@@ -17,14 +17,24 @@ and one word back per orbit member, and the induced stabilizer group,
 generated by the permutations that "enter at B, step along an edge,
 and return" induce on image(a).  in_r_class then needs only a kernel
 comparison, a strong-orbit lookup, and one group membership test.
+
+The orbit is searched breadth first over whole batches of image sets,
+each keyed by its bitmask in a table of 2**n entries, with the numbering
+and the words a one-set-at-a-time search would give.
+
+The induced group is built one candidate permutation at a time: a
+candidate already in the group is skipped (binary search of the sorted
+encodings), any other becomes a generator and the group is extended
+from its current elements.  Each kept generator at least doubles the
+group, so a certificate stores at most log2 |H| of them and the work
+grows with |H| times that, never with |H|**2.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass, field
-from math import factorial
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -328,14 +338,19 @@ class TransSemigroup:
 
 @dataclass
 class RClassCertificate:
-    """Everything needed to test membership in the R-class of anchor."""
+    """Everything needed to test membership in the R-class of anchor.
+
+    induced_generators holds only the candidates that enlarged the
+    induced group when they were found, in the order found: each lies
+    outside the group generated by the ones before it.
+    """
 
     anchor: Transformation
     strong_orbit: tuple[tuple[int, ...], ...]
     words_in: tuple[tuple[int, ...], ...]
     words_back: tuple[tuple[int, ...], ...]
     induced_generators: tuple[tuple[int, ...], ...]
-    _mask_index: dict[int, int] = field(repr=False)
+    _node_of: np.ndarray = field(repr=False)
     _t_back: np.ndarray = field(repr=False)
     _pos_of: np.ndarray = field(repr=False)
     _group_encs: np.ndarray = field(repr=False)
@@ -360,28 +375,21 @@ class RClassCertificate:
         return len(self.strong_orbit) * len(self._group_encs)
 
     def contains_products(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized in_r_class over rows that share the anchor's kernel.
+        """R-class membership for each row, all sharing the anchor's kernel.
 
         Intended for anchor*g products (g a permutation), whose kernel
         always equals the anchor's; the kernel comparison is skipped.
         Returns one boolean per row.
         """
         xi = rows.astype(np.int64)[:, self._fiber_reps]
-        masks = np.bitwise_or.reduce(1 << xi, axis=1)
-        keys = np.array(sorted(self._mask_index), dtype=np.int64)
-        vals = np.array([self._mask_index[int(k)] for k in keys], dtype=np.int64)
-        pos = np.searchsorted(keys, masks).clip(max=keys.shape[0] - 1)
-        found = keys[pos] == masks
+        nodes = self._node_of[_mask(xi)]
+        found = nodes >= 0
         out = np.zeros(rows.shape[0], dtype=bool)
         if not found.any():
             return out
-        tb = self._t_back[vals[pos[found]]].astype(np.int64)
+        tb = self._t_back[nodes[found]].astype(np.int64)
         pis = self._pos_of[np.take_along_axis(tb, xi[found], axis=1)]
-        encs = encode_rows_base(pis, self.rank)
-        gi = np.searchsorted(self._group_encs, encs).clip(
-            max=self._group_encs.shape[0] - 1
-        )
-        out[np.flatnonzero(found)] = self._group_encs[gi] == encs
+        out[found] = isin_sorted(encode_rows_base(pis, self.rank), self._group_encs)
         return out
 
 
@@ -394,65 +402,74 @@ class _CertificateCore:
         a = np.asarray(anchor_images, dtype=np.int8)
         img = np.unique(a)
         r = img.shape[0]
-        self.degree = n
-        self.rank = r
-        self.image_points = img
         pos_of = np.full(n, -1, dtype=np.int8)
         pos_of[img.astype(np.int64)] = np.arange(r, dtype=np.int8)
         self.pos_of = pos_of
-        self.rpow = r ** np.arange(r - 1, -1, -1, dtype=np.int64)
 
-        nodes: list[np.ndarray] = [img]
-        mask_index: dict[int, int] = {int(np.bitwise_or.reduce(1 << img.astype(np.int64))): 0}
-        edges: list[dict[int, int]] = [{}]
-        redges: list[list[tuple[int, int]]] = [[]]
-        tree: list[tuple[int, int]] = [(-1, -1)]
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            pts = nodes[u].astype(np.int64)
-            cols = Gm[:, pts].astype(np.int64)
-            srt = np.sort(cols, axis=1)
-            keep = np.all(np.diff(srt, axis=1) > 0, axis=1) if r > 1 else np.ones(
-                cols.shape[0], dtype=bool
-            )
-            if not keep.any():
-                continue
-            masks = np.bitwise_or.reduce(1 << srt[keep], axis=1)
-            gen_ids = np.flatnonzero(keep)
-            uniq_masks, first = np.unique(masks, return_index=True)
-            for mask, fi in zip(uniq_masks.tolist(), first.tolist()):
-                k = int(gen_ids[fi])
-                v = mask_index.get(mask)
-                if v is None:
-                    v = len(nodes)
-                    mask_index[mask] = v
-                    nodes.append(srt[keep][fi].astype(np.int8))
-                    edges.append({})
-                    redges.append([])
-                    tree.append((u, k))
-                    queue.append(v)
-                if v not in edges[u]:
-                    edges[u][v] = k
-                    redges[v].append((u, k))
+        # forward orbit of image(a) under the generators, as a queue taken
+        # a batch of nodes at a time: a batch's new nodes are numbered in
+        # (parent, mask) order, as one node at a time would number them, and
+        # each edge keeps the least generator index that realises it
+        m = Gm.shape[0]
+        node_of = np.full(1 << n, -1, dtype=np.int64)  # node id by image mask
+        node_pts = np.empty((comb(n, r), r), dtype=np.int8)
+        node_pts[0] = img
+        node_of[_mask(img)] = 0
+        tree_u, tree_k = [np.full(1, -1)], [np.full(1, -1)]
+        edge_u: list[np.ndarray] = []
+        edge_v: list[np.ndarray] = []
+        edge_k: list[np.ndarray] = []
+        count, head = 1, 0
+        step = max(1, _CANDIDATE_ROW_BUDGET // m)
+        popcounts = _popcounts(n)
+        while head < count:
+            batch = np.arange(head, min(count, head + step))
+            head = int(batch[-1]) + 1
+            cols = Gm[:, node_pts[batch].astype(np.int64)]
+            masks = _mask(cols)
+            k, b = np.nonzero(popcounts[masks] == r)
+            # generator-major order: the first of each (parent, mask) has least k
+            _, first = np.unique(batch[b] << n | masks[k, b], return_index=True)
+            k, b = k[first], b[first]
+            u, masks = batch[b], masks[k, b]
+            fresh = np.flatnonzero(node_of[masks] < 0)
+            _, once = np.unique(masks[fresh], return_index=True)
+            fresh = fresh[np.sort(once)]
+            node_of[masks[fresh]] = np.arange(count, count + fresh.shape[0])
+            node_pts[count : count + fresh.shape[0]] = np.sort(cols[k[fresh], b[fresh]], axis=1)
+            count += fresh.shape[0]
+            tree_u.append(u[fresh])
+            tree_k.append(k[fresh])
+            edge_u.append(u)
+            edge_v.append(node_of[masks])
+            edge_k.append(k)
+        tree = np.stack([np.concatenate(tree_u), np.concatenate(tree_k)], axis=1).tolist()
+        eu, ev, ek = (np.concatenate(e) for e in (edge_u, edge_v, edge_k))
 
-        # strong component of the base: forward-reachable nodes that reach back
-        in_scc = [False] * len(nodes)
+        # strong component of the base: forward-reachable nodes that reach
+        # back, by a backward BFS over the edges into each node in the order
+        # they were found, one level at a time
+        by_v = np.argsort(ev, kind="stable")
+        starts = np.searchsorted(ev[by_v], np.arange(count + 1))
+        in_scc = np.zeros(count, dtype=bool)
         in_scc[0] = True
-        queue = deque([0])
-        back_tree: dict[int, tuple[int, int]] = {0: (-1, -1)}
-        while queue:
-            v = queue.popleft()
-            for u, k in redges[v]:
-                if not in_scc[u]:
-                    in_scc[u] = True
-                    back_tree[u] = (v, k)
-                    queue.append(u)
-        scc = [i for i, ok in enumerate(in_scc) if ok]
-        self.node_order = scc
-        self.nodes = [nodes[i] for i in scc]
-        new_id = {old: new for new, old in enumerate(scc)}
-        self.mask_index = {m: new_id[i] for m, i in mask_index.items() if in_scc[i]}
+        back_tree = np.full((count, 2), -1, dtype=np.int64)
+        frontier = [0]
+        while frontier:
+            into = by_v[np.concatenate([np.arange(starts[v], starts[v + 1]) for v in frontier])]
+            into = into[~in_scc[eu[into]]]
+            _, once = np.unique(eu[into], return_index=True)
+            into = into[np.sort(once)]
+            found = eu[into]
+            in_scc[found] = True
+            back_tree[found, 0] = ev[into]
+            back_tree[found, 1] = ek[into]
+            frontier = found.tolist()
+        back_tree = back_tree.tolist()
+        scc = np.flatnonzero(in_scc).tolist()
+        self.nodes = [node_pts[i] for i in scc]
+        self.node_of = np.full(1 << n, -1, dtype=np.int64)
+        self.node_of[_mask(node_pts[scc])] = np.arange(len(scc))
 
         def word_in(i: int) -> tuple[int, ...]:
             out: list[int] = []
@@ -482,45 +499,33 @@ class _CertificateCore:
         self.t_in = np.array([compose_word(w) for w in self.words_in], dtype=np.int8)
         self.t_back = np.array([compose_word(w) for w in self.words_back], dtype=np.int8)
 
-        # induced stabilizer group, grown incrementally with early exit at Sym(r)
+        # induced stabilizer group: a candidate joins the generators only
+        # when it lies outside the group built so far, which at least doubles
+        # the group, so at most log2 |H| generators are kept; stop at Sym(r)
         full = factorial(r)
         group_rows = np.arange(r, dtype=np.int8)[None, :]
         group_encs = encode_rows_base(group_rows, r)
-        gen_rows: list[np.ndarray] = []
+        gens: list[np.ndarray] = []
         for local_u in range(len(scc)):
+            if group_encs.shape[0] >= full:
+                break
             ucols = self.t_in[local_u][img.astype(np.int64)].astype(np.int64)
             cols = Gm[:, ucols].astype(np.int64)
-            srt = np.sort(cols, axis=1)
-            keep = np.all(np.diff(srt, axis=1) > 0, axis=1) if r > 1 else np.ones(
-                cols.shape[0], dtype=bool
-            )
-            if not keep.any():
-                continue
-            masks = np.bitwise_or.reduce(1 << srt[keep], axis=1)
-            known = np.array([self.mask_index.get(int(m), -1) for m in masks], dtype=np.int64)
+            # an image that collapses has fewer than r points: no node
+            known = self.node_of[_mask(cols)]
             ok = known >= 0
             if not ok.any():
                 continue
-            cols_ok = cols[keep][ok]
             tb = self.t_back[known[ok]].astype(np.int64)
-            pis = pos_of[np.take_along_axis(tb, cols_ok, axis=1)]
-            encs = encode_rows_base(pis, r)
-            fresh = ~np.isin(encs, group_encs)
-            if fresh.any():
-                uniq, first = np.unique(encs[fresh], return_index=True)
-                gen_rows.append(pis[fresh][first])
-                group_rows, group_encs = _perm_closure(
-                    np.concatenate([group_rows] + gen_rows), r
-                )
-                if group_encs.shape[0] >= full:
-                    break
+            pis = pos_of[np.take_along_axis(tb, cols[ok], axis=1)]
+            encs, first = np.unique(encode_rows_base(pis, r), return_index=True)
+            fresh = ~isin_sorted(encs, group_encs)
+            while fresh.any():
+                gens.append(pis[first[fresh.argmax()]])
+                group_rows, group_encs = _extend_group(group_rows, group_encs, gens, r)
+                fresh &= ~isin_sorted(encs, group_encs)
         self.group_encs = group_encs
-        self.induced_generators = tuple(
-            tuple(int(v) for v in row) for chunk in gen_rows for row in chunk
-        )
-
-    def base_mask(self) -> int:
-        return int(np.bitwise_or.reduce(1 << self.image_points.astype(np.int64)))
+        self.induced_generators = tuple(tuple(int(v) for v in row) for row in gens)
 
 
 def encode_rows_base(rows: np.ndarray, base: int) -> np.ndarray:
@@ -530,23 +535,51 @@ def encode_rows_base(rows: np.ndarray, base: int) -> np.ndarray:
     return rows.astype(np.int64) @ pow_vec
 
 
-def _perm_closure(gen_rows: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group closure of permutations on r points; (rows, sorted encodings)."""
-    identity = np.arange(r, dtype=np.int8)[None, :]
-    rows = identity
-    encs = encode_rows_base(identity, r)
-    uniq_gens = np.unique(gen_rows, axis=0)
-    frontier = identity
+def _mask(points: np.ndarray) -> np.ndarray:
+    """The bitmask of the point set along the last axis."""
+    out = np.zeros(points.shape[:-1], dtype=np.int64)
+    for j in range(points.shape[-1]):
+        out |= np.left_shift(1, points[..., j], dtype=np.int64)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _popcounts(n: int) -> np.ndarray:
+    """Number of set bits of every n-bit mask."""
+    c = np.zeros(1 << n, dtype=np.int8)
+    for b in range(n):
+        c[1 << b : 2 << b] = c[: 1 << b] + 1
+    c.setflags(write=False)
+    return c
+
+
+def isin_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Membership of each value in a sorted, non-empty table."""
+    pos = np.searchsorted(table, values).clip(max=table.shape[0] - 1)
+    return table[pos] == values
+
+
+def _extend_group(
+    rows: np.ndarray, encs: np.ndarray, gens: list[np.ndarray], r: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The group generated by gens, given the one generated by gens[:-1].
+
+    rows lists that smaller group and encs holds its sorted encodings.
+    The earlier generators map it into itself, so the first round only
+    applies the new one; later rounds apply all of them to the fresh rows.
+    Returns (rows, sorted encodings) of the larger group.
+    """
+    frontier, step = rows, gens[-1:]
     while frontier.shape[0]:
-        cand = np.concatenate([g[frontier.astype(np.int64)] for g in uniq_gens])
+        f64 = frontier.astype(np.int64)
+        cand = np.concatenate([g[f64] for g in step])
         cencs = encode_rows_base(cand, r)
-        fresh = ~np.isin(cencs, encs)
-        if not fresh.any():
-            break
+        fresh = ~isin_sorted(cencs, encs)
         uniq, first = np.unique(cencs[fresh], return_index=True)
         frontier = cand[fresh][first]
         rows = np.concatenate([rows, frontier])
         encs = np.sort(np.concatenate([encs, uniq]))
+        step = gens
     return rows, encs
 
 
@@ -573,7 +606,7 @@ def certificate_from_matrix(Gm: np.ndarray, anchor: Transformation) -> RClassCer
         words_in=tuple(core.words_in),
         words_back=tuple(core.words_back),
         induced_generators=core.induced_generators,
-        _mask_index=core.mask_index,
+        _node_of=core.node_of,
         _t_back=core.t_back,
         _pos_of=core.pos_of,
         _group_encs=core.group_encs,
@@ -604,14 +637,4 @@ def in_r_class(cert: RClassCertificate, x: Transformation) -> bool:
         raise ValueError(f"degree mismatch: {x.degree} vs {cert.anchor.degree}")
     if x.kernel() != cert._anchor_kernel:
         return False
-    xi = np.array(x.images, dtype=np.int64)
-    mask = int(np.bitwise_or.reduce(1 << np.unique(xi)))
-    node = cert._mask_index.get(mask)
-    if node is None:
-        return False
-    tb = cert._t_back[node].astype(np.int64)
-    pi = cert._pos_of[tb[xi[cert._fiber_reps]]]
-    r = cert.rank
-    enc = int(encode_rows_base(pi[None, :], r)[0])
-    i = int(np.searchsorted(cert._group_encs, enc))
-    return i < cert._group_encs.shape[0] and int(cert._group_encs[i]) == enc
+    return bool(cert.contains_products(np.array([x.images], dtype=np.int8))[0])

@@ -9,8 +9,10 @@ cross-checks a sample of those referees in turn.
 import json
 import os
 import random
+import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +39,12 @@ from normgroups.normalizing import (
     m12_witness_check,
     structural_filters,
 )
-from normgroups.semigroups import TransSemigroup
+from normgroups.semigroups import (
+    TransSemigroup,
+    certificate_from_matrix,
+    decode_encodings,
+    encode_rows,
+)
 from normgroups.transform import Permutation, Transformation, is_section
 
 
@@ -149,6 +156,119 @@ def test_ladder_matches_closure_on_random_groups(case):
         assert v.status == STATUS_NOT
         assert not inside[v.witness.g]
         assert check_pair(group, a, v.witness.g).status == STATUS_NOT
+
+
+def _sym7_on_8_points():
+    # Sym{1..7} fixing point 8: intransitive, so it has negatives that
+    # reach the r-class stage with thousands of conjugates
+    return PermutationGroup(
+        [Permutation([1, 2, 3, 4, 5, 6, 0, 7]), Permutation([1, 0, 2, 3, 4, 5, 6, 7])],
+        label="Sym{1..7}",
+    )
+
+
+def _certified(checker, a, conj_encs, pick=slice(None)):
+    """Which products a*g the certificate over the picked conjugates accepts."""
+    rows = decode_encodings(conj_encs[pick], a.degree)
+    prods = checker.M[:, np.array(a.images, dtype=np.int64)]
+    return certificate_from_matrix(rows, a).contains_products(prods)
+
+
+def test_conjugate_tiers_accept_only_what_the_full_certificate_accepts():
+    # a product R-related to a in <T>, for a in T within a^G, is R-related
+    # to a in <a^G>; so no tier may accept a product the full set rejects
+    rng = random.Random(29)
+    fixed = {"Sym{1..7}": [Transformation.parse("5,2,6,5,7,8,3,5")]}
+    for group in (catalog("A7", 7), catalog("S7", 7), _sym7_on_8_points()):
+        checker = normalizing._MapChecker(group)
+        n = group.degree
+        maps = list(fixed.get(group.label, []))
+        while len(maps) < 8:
+            a = Transformation([rng.randrange(n) for _ in range(n)])
+            if not a.is_permutation() and checker.section_mapper_index(a) >= 0:
+                maps.append(a)
+        subset_tiers = 0
+        for a in maps:
+            conj_encs = checker._conjugates(a)
+            full = _certified(checker, a, conj_encs)
+            picks = list(normalizing._conjugate_tiers(conj_encs, a.encode()))
+            assert picks[-1] == slice(None)
+            for pick in picks[:-1]:
+                assert pick.shape[0] >= 256 and conj_encs[pick].tolist().count(a.encode()) == 1
+                tier = _certified(checker, a, conj_encs, pick)
+                assert not (tier & ~full).any(), (group.label, a.one_based())
+                subset_tiers += 1
+            if a in fixed.get(group.label, []):
+                # a known negative; its closure fallback is too slow to run here
+                assert len(conj_encs) == 2520 and len(picks) == 3
+                assert not full.all()
+        assert subset_tiers > 0, group.label
+
+
+def test_r_class_stage_matches_closure_at_degree_7():
+    # the full certificate accepts a*g exactly when a*g is R-related to a
+    # in <a^G>: brute force over the rank-pruned closure, which holds every
+    # element that can appear in a factorization staying at rank(a)
+    rng = random.Random(43)
+    cases = 0
+    outcomes = set()
+    while cases < 12:
+        gens = []
+        for _ in range(rng.choice((1, 2))):
+            images = list(range(7))
+            rng.shuffle(images)
+            gens.append(Permutation(images))
+        group = PermutationGroup(gens, label="random")
+        if group.order() > 60:
+            continue
+        a = Transformation([rng.randrange(7) for _ in range(7)])
+        if a.is_permutation():
+            continue
+        cases += 1
+        checker = normalizing._MapChecker(group)
+        conj_encs = checker._conjugates(a)
+        accepted = _certified(checker, a, conj_encs)
+        sgp = TransSemigroup(
+            [Transformation(int(v) for v in row) for row in decode_encodings(conj_encs, 7)],
+            min_rank=a.rank,
+        ).close()
+        members = decode_encodings(sgp.encodings(), 7).astype(np.int64)
+        member_encs = set(sgp.encodings().tolist())
+
+        def right_multiples(t):
+            # t itself and t*s for every member s, as encodings
+            return {t.encode()} | set(encode_rows(members[:, np.array(t.images)]).tolist())
+
+        a_right = right_multiples(a)
+        for g, ok in zip(group.elements(), accepted.tolist()):
+            x = a * g
+            r_related = (
+                x.encode() in member_encs
+                and x.encode() in a_right
+                and a.encode() in right_multiples(x)
+            )
+            assert ok == r_related, (group.generators, a.one_based(), g.cycle_string())
+            outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "label, text",
+    [("PSL(2,8)", "6,2,8,4,5,1,7,3,7"), ("A9", "8,4,7,6,4,6,9,3,2")],
+)
+def test_degree_9_certificate_memory_stays_small(label, text):
+    # the induced group used to be re-closed with every element found so
+    # far as a generator: |H|^2 rows, 24 GiB for the rank-8 PSL(2,8) map
+    group = catalog(label, 9)
+    a = Transformation.parse(text)
+    tracemalloc.start()
+    try:
+        verdict = is_a_normalizing(group, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == STATUS_NORMALIZING
+    assert peak < 256 * 2**20
 
 
 def test_verdict_invariant_under_relabeling():

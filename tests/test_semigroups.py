@@ -239,14 +239,8 @@ def test_certificate_words_replay():
         assert cur == base
 
 
-def test_induced_generators_generate_the_group():
-    g = catalog("PSL(2,5)", 6)
-    a = Transformation.parse("1,1,2,2,1,2")
-    conj = sorted({a.conjugated_by(h) for h in g.elements()})
-    cert = r_class_certificate(conj, a)
-    gens = cert.induced_generators
-    grp = cert.induced_group()
-    r = cert.rank
+def perm_closure(gens, r):
+    """All products of the position permutations gens, identity included."""
     identity = tuple(range(r))
     built = {identity}
     frontier = [identity]
@@ -259,4 +253,64 @@ def test_induced_generators_generate_the_group():
                     built.add(prod)
                     nxt.append(prod)
         frontier = nxt
-    assert built == grp
+    return built
+
+
+def candidate_permutations(conj, cert):
+    """Every "enter, step, return" permutation the certificate may use.
+
+    For each strong-orbit node (entered by its word in) and each
+    conjugate s that keeps it inside the strong orbit, follow s and then
+    the word back; the induced permutation on the base positions is a
+    candidate.  The induced group is the closure of all of them.
+    """
+    base = cert.strong_orbit[0]
+    r = len(base)
+    pos = {p: i for i, p in enumerate(base)}
+    node_of = {frozenset(node): i for i, node in enumerate(cert.strong_orbit)}
+
+    def walk(points, word):
+        for k in word:
+            points = [conj[k].images[p] for p in points]
+        return points
+
+    out = set()
+    for win in cert.words_in:
+        start = walk(list(base), win)
+        for s in conj:
+            moved = [s.images[p] for p in start]
+            v = node_of.get(frozenset(moved))
+            if v is not None and len(set(moved)) == r:
+                out.add(tuple(pos[p] for p in walk(moved, cert.words_back[v])))
+    return out
+
+
+INDUCED_GROUP_CASES = [
+    ("PSL(2,5)", 6, "1,1,2,2,1,2"),
+    ("A6", 6, "1,2,2,3,4,4"),
+    # rank 8: the induced group is Sym(8), once a 24 GiB re-closure
+    ("PSL(2,8)", 9, "6,2,8,4,5,1,7,3,7"),
+]
+
+
+def test_induced_generators_generate_the_group():
+    for label, n, text in INDUCED_GROUP_CASES:
+        g = catalog(label, n)
+        a = Transformation.parse(text)
+        conj = sorted({a.conjugated_by(h) for h in g.elements()})
+        cert = r_class_certificate(conj, a)
+        gens = cert.induced_generators
+        grp = cert.induced_group()
+        r = cert.rank
+        assert perm_closure(gens, r) == grp, label
+        # each kept generator enlarged the group, so each at least doubled it
+        for i, q in enumerate(gens):
+            assert q not in perm_closure(gens[:i], r), (label, i)
+        assert 2 ** len(gens) <= len(grp), label
+        # the group is the closure of every candidate: the kept generators
+        # are candidates, and every candidate lies in the group, which is
+        # closed; the closure itself is built where it is cheap
+        candidates = candidate_permutations(conj, cert)
+        assert set(gens) <= candidates <= grp, label
+        if len(candidates) * len(grp) <= 100_000:
+            assert perm_closure(candidates, r) == grp, label
