@@ -6,7 +6,7 @@ catalog of one degree), reps (conjugation-orbit representatives), groups
 list (the catalog), filters (structural necessary conditions).
 
 Exit codes follow the verdict: 0 normalizing / success, 1 not
-normalizing / classification mismatch, 2 inconclusive or usage error.
+normalizing / classification mismatch, 2 usage error.
 JSON output carries "schema": 1 and is byte-identical for identical
 inputs regardless of worker count; progress goes to standard error.
 """
@@ -24,7 +24,6 @@ from .groups import PermutationGroup, group_from_generator_text
 from .normalizing import (
     CLASSIFICATION_TABLE,
     M12_WITNESS_MAP,
-    STATUS_INCONCLUSIVE,
     STATUS_NORMALIZING,
     STATUS_NOT,
     ConjugacySweep,
@@ -38,7 +37,6 @@ from .normalizing import (
     m12_witness_check,
     structural_filters,
 )
-from .semigroups import DEFAULT_CAP
 from .transform import ParseError, Permutation, Transformation
 
 CACHE_ENV = "NORMGROUPS_CACHE_DIR"
@@ -50,7 +48,6 @@ EXIT_ERROR = 2
 _STATUS_EXIT = {
     STATUS_NORMALIZING: EXIT_OK,
     STATUS_NOT: EXIT_NOT,
-    STATUS_INCONCLUSIVE: EXIT_ERROR,
 }
 
 
@@ -155,12 +152,12 @@ def cmd_check(args) -> int:
     a = _parse_map(args, group.degree)
     if args.witness:
         g = Permutation.parse(args.witness, group.degree)
-        v = check_pair(group, a, g, cap=args.cap)
+        v = check_pair(group, a, g)
     elif group.label == "M12" and a.one_based() == M12_WITNESS_MAP:
         # pinned counterexample: report the published witness pair
-        v = m12_witness_check(cap=args.cap)
+        v = m12_witness_check()
     else:
-        v = is_a_normalizing(group, a, cap=args.cap)
+        v = is_a_normalizing(group, a)
     _emit(args, _verdict_payload(args, "check", v), _verdict_lines(v, timings=args.timings))
     return _STATUS_EXIT[v.status]
 
@@ -169,7 +166,6 @@ def cmd_normalizing(args) -> int:
     group = _load_group(args)
     v = is_normalizing(
         group,
-        cap=args.cap,
         workers=args.workers,
         cache_path=_resolve_cache(args, group, None),
         progress=_progress_printer(args),
@@ -184,7 +180,6 @@ def cmd_k_normalizing(args) -> int:
     v = is_k_normalizing(
         group,
         args.rank,
-        cap=args.cap,
         workers=args.workers,
         cache_path=_resolve_cache(args, group, args.rank),
         progress=_progress_printer(args),
@@ -201,7 +196,6 @@ def cmd_classify(args) -> int:
     cache_dir = args.resume or os.environ.get(CACHE_ENV)
     report = classify(
         args.degree,
-        cap=args.cap,
         workers=args.workers,
         cache_dir=cache_dir,
         progress=_progress_printer(args),
@@ -211,7 +205,7 @@ def cmd_classify(args) -> int:
     payload.update(report.to_dict(timings=args.timings))
     lines = [f"degree {report.degree}"]
     for v in report.verdicts:
-        mark = {"normalizing": "+", "not-normalizing": "-"}.get(v.status, "?")
+        mark = "+" if v.normalizing else "-"
         extra = ""
         if v.witness is not None:
             extra = f"  [map {v.map.image_csv()}, g = {v.witness.g.cycle_string()}]"
@@ -220,8 +214,6 @@ def cmd_classify(args) -> int:
     lines.append(f"computed normalizing: {', '.join(sorted(report.normalizing_labels))}")
     lines.append(f"match: {'yes' if report.matches_expected else 'no'}")
     _emit(args, payload, lines)
-    if any(v.status == STATUS_INCONCLUSIVE for v in report.verdicts):
-        return EXIT_ERROR
     return EXIT_OK if report.matches_expected else EXIT_NOT
 
 
@@ -305,8 +297,6 @@ def _add_group_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="closure size cap before a check turns inconclusive")
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p.add_argument("--resume", help="sweep cache path, checkpointed once a minute and saved at completion")
     p.add_argument("--progress", action="store_true", help="progress on standard error")
@@ -326,11 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="decide aG within <a^G> for one map a")
+    p = sub.add_parser(
+        "check", help="decide aG within <a^G> for one map a, exactly and with no size cap"
+    )
     _add_group_flags(p)
     p.add_argument("--map", required=True, help="1-based image list, e.g. 1,1,3,4,1")
     p.add_argument("--witness", help="single permutation g: test only a*g")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     _add_output_flags(p)
     p.set_defaults(fn=cmd_check)
 

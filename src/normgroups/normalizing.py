@@ -24,9 +24,14 @@ Each map is checked with a fixed strategy order:
    This is exact: if x is R-related to a in <T>, with a in T and T
    within a^G, then x is R-related to a in <a^G>, so the tiers together
    accept exactly what the full certificate accepts.
-3. closure: breadth-first closure of <a^G> pruned below rank(a); exact,
-   but bounded by the element cap.  Hitting the cap yields an explicit
-   inconclusive verdict instead of an answer.
+3. closure: exact membership of the products the r-class stage left,
+   by kernel_members.  A product x of rank r = rank(a) that factors as
+   c1 c2 ... ck over a^G has ker(c1) = ker(a), so its values on a
+   transversal of ker(a) are those of c1 pushed through c2, ..., ck, an
+   injective r-tuple at every step.  A breadth first search over those
+   tuples, from the conjugates of kernel ker(a), decides membership with
+   no cap: it visits at most n!/(n-r)! tuples.  The stage keeps its
+   trace label so reports stay as they were.
 
 check_pair, which replays one witness, runs the same ladder on the single
 product a*g.
@@ -52,20 +57,19 @@ from .bitset import Bitmap
 from .catalog import catalog, catalog_hash, catalog_labels
 from .groups import PermutationGroup
 from .semigroups import (
-    DEFAULT_CAP,
-    ClosureCapExceeded,
-    TransSemigroup,
+    TransSemigroup,  # not called here; perfbench/tracer.py wraps this name
     certificate_from_matrix,
     decode_encodings,
     encode_rows,
     isin_sorted,
     in_r_class,  # not called here; perfbench/tracer.py wraps this name
+    kernel_members,
 )
 from .transform import Permutation, Transformation
 
 STATUS_NORMALIZING = "normalizing"
 STATUS_NOT = "not-normalizing"
-STATUS_INCONCLUSIVE = "inconclusive"
+STATUS_INCONCLUSIVE = "inconclusive"  # no check returns it; perfbench/workloads.py reads it
 
 REASON_CONJUGATE = "conjugate-mismatch"
 REASON_MEMBERSHIP = "membership-failed"
@@ -200,9 +204,8 @@ def _require_singular(group: PermutationGroup, a: Transformation) -> None:
 class _MapChecker:
     """Per-group arrays shared across many single-map checks."""
 
-    def __init__(self, group: PermutationGroup, cap: int = DEFAULT_CAP):
+    def __init__(self, group: PermutationGroup):
         self.group = group
-        self.cap = cap
         self.M = group.element_matrix()
         self.M64 = self.M.astype(np.int64)
         self.Minv64 = group.inverse_matrix().astype(np.int64)
@@ -228,29 +231,38 @@ class _MapChecker:
     def check(self, a: Transformation) -> NormalizingVerdict:
         """Decide whether every a*g lies in <a^G>."""
         _require_singular(self.group, a)
-        prods = self.M[:, np.array(a.images, dtype=np.int64)]
-        return self._decide(a, prods, self.group.elements())
+        a64 = np.array(a.images, dtype=np.int64)
+        prods = self.M[:, a64]
+        elements = self.group.elements()
+        # a*g depends only on g on image(a), so each product comes from
+        # |pointwise stabilizer of image(a)| elements; keeping the least g
+        # of each keeps the least failing g as the witness
+        img = np.unique(a64)
+        if np.count_nonzero((self.M64[:, img] == img).all(axis=1)) == 1:
+            return self._decide(a, prods, elements.__getitem__)
+        keep = np.sort(np.unique(encode_rows(prods), return_index=True)[1])
+        return self._decide(a, prods[keep], lambda i: elements[keep[i]])
 
     def check_pair(self, a: Transformation, g: Permutation) -> NormalizingVerdict:
         """Decide membership of the single product a*g in <a^G>."""
         _require_singular(self.group, a)
         if g not in self.group:
             raise ValueError(f"{g.cycle_string()} is not a member of {self.group.label}")
-        return self._decide(a, np.array([(a * g).images], dtype=np.int8), (g,))
+        return self._decide(a, np.array([(a * g).images], dtype=np.int8), lambda i: g)
 
     def _decide(
-        self, a: Transformation, prods: np.ndarray, factors: Sequence[Permutation]
+        self, a: Transformation, prods: np.ndarray, factor: Callable[[int], Permutation]
     ) -> NormalizingVerdict:
         """The strategy ladder over the products a*g given as rows.
 
-        Row i of prods is a * factors[i]; the first row found outside
-        <a^G> names factors[i] as the witness.
+        Row i of prods is a * factor(i); the first row found outside
+        <a^G> names factor(i) as the witness.
         """
         t0 = time.perf_counter()
         conj_encs = self._conjugates(a)
 
         def verdict(status: str, trace: tuple[str, ...], bad: int = -1, reason: str = ""):
-            witness = FailureWitness(factors[bad], reason) if bad >= 0 else None
+            witness = FailureWitness(factor(bad), reason) if bad >= 0 else None
             return NormalizingVerdict(
                 status, self.group.label, map=a, witness=witness, trace=trace,
                 checked=1, seconds=time.perf_counter() - t0,
@@ -272,17 +284,11 @@ class _MapChecker:
             if bad.size == 0:
                 return verdict(STATUS_NORMALIZING, ("r-class",))
         # the last tier was all of a^G
-        gens = [Transformation(int(v) for v in row) for row in conj_rows]
-        sgp = TransSemigroup(gens, cap=self.cap, min_rank=a.rank)
         trace = ("r-class", "closure")
-        capped = False
-        for i in bad.tolist():
-            try:
-                if not sgp.contains(Transformation(int(v) for v in prods[i])):
-                    return verdict(STATUS_NOT, trace, i, REASON_MEMBERSHIP)
-            except ClosureCapExceeded:
-                capped = True
-        return verdict(STATUS_INCONCLUSIVE if capped else STATUS_NORMALIZING, trace)
+        inside = kernel_members(conj_rows, a, prods[bad])
+        if inside.all():
+            return verdict(STATUS_NORMALIZING, trace)
+        return verdict(STATUS_NOT, trace, int(bad[inside.argmin()]), REASON_MEMBERSHIP)
 
 
 def exists_section_mapper(group: PermutationGroup, a: Transformation) -> Permutation | None:
@@ -297,22 +303,14 @@ def exists_section_mapper(group: PermutationGroup, a: Transformation) -> Permuta
     return group.elements()[idx] if idx >= 0 else None
 
 
-def is_a_normalizing(
-    group: PermutationGroup, a: Transformation, *, cap: int = DEFAULT_CAP
-) -> NormalizingVerdict:
+def is_a_normalizing(group: PermutationGroup, a: Transformation) -> NormalizingVerdict:
     """Decide aG within <a^G> for one singular map a."""
-    return _MapChecker(group, cap).check(a)
+    return _MapChecker(group).check(a)
 
 
-def check_pair(
-    group: PermutationGroup,
-    a: Transformation,
-    g: Permutation,
-    *,
-    cap: int = DEFAULT_CAP,
-) -> NormalizingVerdict:
+def check_pair(group: PermutationGroup, a: Transformation, g: Permutation) -> NormalizingVerdict:
     """Replay a single (a, g) witness: is a*g a member of <a^G>?"""
-    return _MapChecker(group, cap).check_pair(a, g)
+    return _MapChecker(group).check_pair(a, g)
 
 
 # -- conjugation-orbit enumeration ---------------------------------------------
@@ -472,6 +470,8 @@ class ConjugacySweep:
         every map counted in singular_seen, and meta["checked"] counts
         every representative enumerated (only those of the filtered rank
         under a rank filter), so a resume never skips an unchecked map.
+        A cache whose meta["inconclusive"] lists maps comes from a run
+        with a capped closure stage; those maps were never decided.
         """
         sweep = cls(group, rank=rank)
         with open(path, "rb") as fh:
@@ -496,6 +496,12 @@ class ConjugacySweep:
                 f"marks {marked} maps including {factorial(sweep.degree)} permutations; "
                 f"the cache is corrupt, delete {path} and rerun"
             )
+        undecided = sweep.meta.get("inconclusive")
+        if undecided:
+            raise SweepCacheMismatch(
+                f"cache field 'meta.inconclusive' lists {len(undecided)} maps an older, "
+                f"capped run left undecided; delete {path} and rerun"
+            )
         checked = sweep.meta.get("checked", 0)
         if checked > sweep.orbits or (rank is None and checked != sweep.orbits):
             raise SweepCacheMismatch(
@@ -519,12 +525,12 @@ def conjugacy_orbit_reps(
 _WORKER_CHECKER: _MapChecker | None = None
 
 
-def _worker_init(gen_images: tuple, degree: int, label: str, cap: int) -> None:
+def _worker_init(gen_images: tuple, degree: int, label: str) -> None:
     global _WORKER_CHECKER
     group = PermutationGroup(
         (Permutation(images) for images in gen_images), degree=degree, label=label
     )
-    _WORKER_CHECKER = _MapChecker(group, cap)
+    _WORKER_CHECKER = _MapChecker(group)
 
 
 def _check_batch(
@@ -564,7 +570,6 @@ def _sweep_check(
     group: PermutationGroup,
     *,
     rank: int | None,
-    cap: int,
     workers: int,
     cache_path: str | None,
     progress: ProgressFn | None,
@@ -583,7 +588,6 @@ def _sweep_check(
     else:
         sweep = ConjugacySweep(group, rank=rank)
     checked = int(sweep.meta.get("checked", 0))
-    inconclusive: list[int] = list(sweep.meta.get("inconclusive", []))
     last_tick = last_save = time.monotonic()
 
     def report(force: bool = False) -> None:
@@ -601,21 +605,21 @@ def _sweep_check(
     def checkpoint() -> None:
         nonlocal last_save
         last_save = time.monotonic()
-        sweep.meta.update(checked=checked, inconclusive=inconclusive)
+        sweep.meta.update(checked=checked)
         sweep.save(cache_path)
 
     if workers <= 1:
         # the caller's group, whose element matrix is already built; one
         # batch at a time, so no map after a failure is ever checked
         pool: Executor = _InlineExecutor()
-        check = functools.partial(_check_batch, _MapChecker(group, cap))
+        check = functools.partial(_check_batch, _MapChecker(group))
         depth = 1
     else:
         gen_images = tuple(g.images for g in group.generators)
         pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(gen_images, group.degree, group.label, cap),
+            initargs=(gen_images, group.degree, group.label),
         )
         check = _worker_check
         depth = 2 * workers
@@ -642,8 +646,6 @@ def _sweep_check(
                         trace=("sweep",) + v.trace, checked=checked,
                         seconds=time.perf_counter() - t0,
                     )
-                if v.status == STATUS_INCONCLUSIVE:
-                    inconclusive.append(v.map.encode())
             report()
             # a checkpoint must not record maps still in flight: once one
             # is due, submit nothing until every pending batch is back
@@ -656,12 +658,6 @@ def _sweep_check(
     report(force=True)
     if cache_path:
         checkpoint()
-    if inconclusive:
-        return NormalizingVerdict(
-            STATUS_INCONCLUSIVE, group.label,
-            map=Transformation.decode(group.degree, inconclusive[0]),
-            trace=("sweep",), checked=checked, seconds=time.perf_counter() - t0,
-        )
     return NormalizingVerdict(
         STATUS_NORMALIZING, group.label, trace=("sweep",),
         checked=checked, seconds=time.perf_counter() - t0,
@@ -671,7 +667,6 @@ def _sweep_check(
 def is_normalizing(
     group: PermutationGroup,
     *,
-    cap: int = DEFAULT_CAP,
     workers: int = 1,
     cache_path: str | None = None,
     progress: ProgressFn | None = None,
@@ -679,7 +674,7 @@ def is_normalizing(
 ) -> NormalizingVerdict:
     """Is G a-normalizing for every singular a of its degree?"""
     return _sweep_check(
-        group, rank=None, cap=cap, workers=workers, cache_path=cache_path,
+        group, rank=None, workers=workers, cache_path=cache_path,
         progress=progress, progress_interval=progress_interval,
     )
 
@@ -688,7 +683,6 @@ def is_k_normalizing(
     group: PermutationGroup,
     k: int,
     *,
-    cap: int = DEFAULT_CAP,
     workers: int = 1,
     cache_path: str | None = None,
     progress: ProgressFn | None = None,
@@ -698,14 +692,12 @@ def is_k_normalizing(
     if not 1 <= k < group.degree:
         raise ValueError(f"need 1 <= k < degree, got k={k} degree={group.degree}")
     return _sweep_check(
-        group, rank=k, cap=cap, workers=workers, cache_path=cache_path,
+        group, rank=k, workers=workers, cache_path=cache_path,
         progress=progress, progress_interval=progress_interval,
     )
 
 
-def is_class_normalizing(
-    group: PermutationGroup, a: Transformation, *, cap: int = DEFAULT_CAP
-) -> NormalizingVerdict:
+def is_class_normalizing(group: PermutationGroup, a: Transformation) -> NormalizingVerdict:
     """Is G a'-normalizing for every a' sharing a's conjugacy type in S_n?
 
     The verdict depends only on the S_n-class of a, never on how the
@@ -730,10 +722,9 @@ def is_class_normalizing(
         if not seen.test(enc):
             _conjugation_orbit(action, enc, seen)
             reps.append(Transformation.decode(n, enc))
-    checker = _MapChecker(group, cap)
+    checker = _MapChecker(group)
     # mapper-free representatives decide via the exact shortcut; try them first
     reps.sort(key=lambda r: (checker.section_mapper_index(r) >= 0, r.encode()))
-    inconclusive = 0
     for idx, rep in enumerate(reps):
         v = checker.check(rep)
         if v.status == STATUS_NOT:
@@ -742,16 +733,13 @@ def is_class_normalizing(
                 trace=("class-sweep",) + v.trace, checked=idx + 1,
                 seconds=time.perf_counter() - t0,
             )
-        if v.status == STATUS_INCONCLUSIVE:
-            inconclusive += 1
-    status = STATUS_INCONCLUSIVE if inconclusive else STATUS_NORMALIZING
     return NormalizingVerdict(
-        status, group.label, map=a, trace=("class-sweep",),
+        STATUS_NORMALIZING, group.label, map=a, trace=("class-sweep",),
         checked=len(reps), seconds=time.perf_counter() - t0,
     )
 
 
-def m12_witness_check(*, cap: int = DEFAULT_CAP) -> NormalizingVerdict:
+def m12_witness_check() -> NormalizingVerdict:
     """The degree-12 counterexample, pinned to its published witness pair.
 
     Asserts the full chain: the witness permutation belongs to M12, no
@@ -765,7 +753,7 @@ def m12_witness_check(*, cap: int = DEFAULT_CAP) -> NormalizingVerdict:
     g = Permutation.parse(M12_WITNESS_G, 12)
     if g not in group:
         raise RuntimeError("witness permutation is not in M12")
-    checker = _MapChecker(group, cap)
+    checker = _MapChecker(group)
     if checker.section_mapper_index(a) >= 0:
         raise RuntimeError("unexpected section mapper for the M12 witness map")
     pair = checker.check_pair(a, g)
@@ -979,7 +967,6 @@ class ClassificationReport:
 def classify(
     n: int,
     *,
-    cap: int = DEFAULT_CAP,
     workers: int = 1,
     cache_dir: str | None = None,
     progress: ProgressFn | None = None,
@@ -1003,7 +990,7 @@ def classify(
             verdicts.append(_analytic_verdict(group, time.perf_counter()))
             continue
         if n == 12:
-            v = m12_witness_check(cap=cap)
+            v = m12_witness_check()
             verdicts.append(
                 NormalizingVerdict(
                     v.status, v.group, map=v.map, witness=v.witness,
@@ -1014,9 +1001,7 @@ def classify(
             continue
         fixture = KNOWN_FAILING_MAPS.get((n, label))
         if fixture is not None:
-            v = is_class_normalizing(
-                group, Transformation.from_one_based(fixture), cap=cap
-            )
+            v = is_class_normalizing(group, Transformation.from_one_based(fixture))
             if v.status == STATUS_NOT:
                 verdicts.append(
                     NormalizingVerdict(
@@ -1034,7 +1019,7 @@ def classify(
             )
         verdicts.append(
             is_normalizing(
-                group, cap=cap, workers=workers, cache_path=cache_path,
+                group, workers=workers, cache_path=cache_path,
                 progress=progress, progress_interval=progress_interval,
             )
         )

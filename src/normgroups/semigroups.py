@@ -28,6 +28,12 @@ encodings), any other becomes a generator and the group is extended
 from its current elements.  Each kept generator at least doubles the
 group, so a certificate stores at most log2 |H| of them and the work
 grows with |H| times that, never with |H|**2.
+
+kernel_members decides full membership, not just the R-class, for maps
+of the anchor's kernel and rank in a semigroup generated by maps of that
+rank, with no cap: a search over the orbit of the injective tuples such
+a map takes on a transversal of the kernel.  TransSemigroup stays as the
+exact oracle the tests compare it with.
 """
 
 from __future__ import annotations
@@ -622,6 +628,63 @@ def _first_preimages(anchor: Transformation) -> np.ndarray:
     for p, v in enumerate(anchor.images):
         first.setdefault(v, p)
     return np.array([first[w] for w in img], dtype=np.int64)
+
+
+def kernel_members(gens: np.ndarray, anchor: Transformation, rows: np.ndarray) -> np.ndarray:
+    """Membership of each row in the semigroup the generator rows generate.
+
+    Every generator must have rank r = rank(anchor), and every row the
+    anchor's kernel K and rank r, as anchor*g has for a permutation g.
+    If x = c1 c2 ... ck has rank r, then ker(c1) = K; on a transversal T
+    of K, x[T] is the injective tuple c1[T] pushed through c2, ..., ck,
+    and it stays injective at every step.  Conversely every tuple reached
+    that way is y[T] for the one product y of kernel K it came from.  So
+    a row is a member exactly when its tuple on T is reached by a breadth
+    first search over injective r-tuples that starts from c[T] for the
+    generators of kernel K and steps t -> c[t] for every generator c.
+
+    The search stops once every row's tuple is reached.  It visits at
+    most n!/(n-r)! tuples and keeps only those, as a sorted encoding array.
+    Returns one boolean per row.
+    """
+    n = gens.shape[1]
+    a = np.array(anchor.images, dtype=np.int64)
+    T = _first_preimages(anchor)
+    r = T.shape[0]
+    popcounts = _popcounts(n)
+    if np.any(popcounts[_mask(gens)] != r):
+        raise ValueError(f"every generator must have rank {r}")
+    pw = n ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    wanted = rows[:, T].astype(np.int64) @ pw
+    # c has kernel K iff it agrees with c[T] read through the class of each point
+    cls = np.searchsorted(np.unique(a), a)
+    on_T = gens[:, T]
+    frontier = on_T[np.all(on_T[:, cls] == gens, axis=1)]
+    if frontier.shape[0] == 0:
+        return np.zeros(rows.shape[0], dtype=bool)
+    seen, first = np.unique(frontier.astype(np.int64) @ pw, return_index=True)
+    frontier = frontier[first]
+    missing = np.setdiff1d(wanted, seen)
+    while missing.shape[0] and frontier.shape[0]:
+        f = frontier.shape[0]
+        step = max(1, _CANDIDATE_ROW_BUDGET // (f * r))
+        cols = frontier.astype(np.int64)
+        fresh_rows: list[np.ndarray] = []
+        for k0 in range(0, gens.shape[0], step):
+            cand = gens[k0 : k0 + step][:, cols].reshape(-1, r)
+            cand = cand[popcounts[_mask(cand)] == r]
+            encs = cand.astype(np.int64) @ pw
+            new = ~isin_sorted(encs, seen)
+            uniq, once = np.unique(encs[new], return_index=True)
+            if not uniq.shape[0]:
+                continue
+            fresh_rows.append(cand[new][once])
+            seen = np.insert(seen, np.searchsorted(seen, uniq), uniq)
+            missing = missing[~isin_sorted(missing, uniq)]
+            if not missing.shape[0]:
+                break
+        frontier = np.concatenate(fresh_rows) if fresh_rows else on_T[:0]
+    return isin_sorted(wanted, seen)
 
 
 def in_r_class(cert: RClassCertificate, x: Transformation) -> bool:

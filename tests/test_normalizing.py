@@ -199,9 +199,15 @@ def test_conjugate_tiers_accept_only_what_the_full_certificate_accepts():
                 assert not (tier & ~full).any(), (group.label, a.one_based())
                 subset_tiers += 1
             if a in fixed.get(group.label, []):
-                # a known negative; its closure fallback is too slow to run here
+                # a known negative: every tier rejects some product, and the
+                # exact stage finds the least g whose a*g escapes <a^G>
                 assert len(conj_encs) == 2520 and len(picks) == 3
                 assert not full.all()
+                v = is_a_normalizing(group, a)
+                assert v.status == STATUS_NOT and v.trace == ("r-class", "closure")
+                assert v.witness.g.cycle_string() == "(1 2 3 4 5 6 7)"
+                replay = check_pair(group, a, v.witness.g)
+                assert replay.status == STATUS_NOT and replay.witness == v.witness
         assert subset_tiers > 0, group.label
 
 
@@ -477,6 +483,10 @@ def test_load_refuses_inconsistent_cache(tmp_path):
         ]
         if rank is None:
             corruptions.append(("meta.checked", lambda h: h["meta"].update(checked=2), body))
+        # an older run with a capped closure stage left these maps undecided
+        corruptions.append(
+            ("meta.inconclusive", lambda h: h["meta"].update(inconclusive=[h["cursor"] - 1]), body)
+        )
         for field, mutate, raw in corruptions:
             h = json.loads(header)
             mutate(h)

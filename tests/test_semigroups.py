@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from normgroups.catalog import catalog
@@ -8,6 +9,7 @@ from normgroups.semigroups import (
     ClosureCapExceeded,
     TransSemigroup,
     in_r_class,
+    kernel_members,
     r_class_certificate,
 )
 from normgroups.transform import Permutation, Transformation, all_transformations
@@ -168,6 +170,46 @@ def test_min_rank_pruning_keeps_high_rank_members_exactly():
         s.idempotents()
     with pytest.raises(ValueError):
         s.is_regular()
+
+
+def _random_map_of_rank(rng, n, r):
+    while True:
+        t = Transformation([rng.randrange(n) for _ in range(n)])
+        if t.rank == r:
+            return t
+
+
+def test_kernel_members_matches_closure():
+    # every map with the anchor's kernel and rank, against the rank-pruned
+    # closure of random generators of that rank, the anchor among them
+    rng = random.Random(71)
+    outcomes = [0, 0]
+    for _ in range(250):
+        n = rng.randrange(3, 7)
+        r = rng.randrange(1, n)
+        anchor = _random_map_of_rank(rng, n, r)
+        gens = [anchor] + [_random_map_of_rank(rng, n, r) for _ in range(rng.randrange(0, 3))]
+        rng.shuffle(gens)
+        oracle = TransSemigroup(gens, min_rank=r)
+        classes = anchor.kernel().class_ids
+        targets = [
+            Transformation(pick[c] for c in classes)
+            for pick in itertools.permutations(range(n), r)
+        ]
+        got = kernel_members(
+            np.array([g.images for g in gens], dtype=np.int8),
+            anchor,
+            np.array([t.images for t in targets], dtype=np.int8),
+        )
+        for t, member in zip(targets, got.tolist()):
+            assert member == oracle.contains(t), ([g.images for g in gens], t.images)
+            outcomes[member] += 1
+    assert min(outcomes) > 100
+    # a generator of another rank breaks the kernel argument: refused
+    a = Transformation.parse("1,1,2,3")
+    gens = np.array([a.images, Transformation.parse("1,1,1,2").images], dtype=np.int8)
+    with pytest.raises(ValueError):
+        kernel_members(gens, a, np.array([a.images], dtype=np.int8))
 
 
 def test_certificate_single_idempotent():
