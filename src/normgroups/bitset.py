@@ -1,8 +1,8 @@
 """Packed bit array over integer-encoded states.
 
 Backs the visited sets for conjugacy-orbit sweeps and semigroup
-closures: one bit per possible encoding, so membership, batch marking,
-and next-unset scans stay cheap even at 9**9 states (about 46 MiB).
+closures: one bit per possible encoding, so membership and batch
+marking stay cheap even at 9**9 states (about 46 MiB).
 
 Bit i lives in byte i >> 3 at position i & 7.  Padding bits past nbits
 are kept set so scans and popcounts never see them.
@@ -73,6 +73,8 @@ class Bitmap:
         total = int(_POPCOUNT8[self.data].sum(dtype=np.int64))
         return total - (self.data.shape[0] * 8 - self.nbits)
 
+    # not called in the package since the sweep walks candidate chunks;
+    # perfbench/tracer.py wraps this name
     def next_unset(self, start: int = 0) -> int | None:
         """Least unset bit index >= start, or None."""
         if start >= self.nbits:

@@ -4,8 +4,10 @@ A group G <= S_n is a-normalizing for a singular map a when
 <a, G> \\ G = <a^G>, which reduces to the containment aG within <a^G>
 because the right side is closed under conjugation by G.  This module
 decides that containment per map, per rank, or over every singular map,
-enumerates conjugation-orbit representatives through an n^n bitmap, and
-drives the per-degree classification of normalizing groups.
+enumerates conjugation-orbit representatives through an n^n bitmap,
+visiting only the maps of the requested rank (every rank below n for a
+full sweep), and drives the per-degree classification of normalizing
+groups.
 
 Each map is checked with a fixed strategy order:
 
@@ -48,7 +50,7 @@ from collections import deque
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice, permutations
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -107,6 +109,9 @@ KNOWN_FAILING_MAPS: dict[tuple[int, str], tuple[int, ...]] = {
 
 _CHECKPOINT_SECONDS = 60.0
 _SWEEP_BATCH = 128
+# candidates per bitmap test in the sweep walk: below a few thousand a
+# test's fixed cost outweighs its cost per candidate
+_CANDIDATE_CHUNK = 4096
 
 # r-class tiers: conjugate subsets of 256, 512, ... picks, each tried only
 # while 4 * its size <= |a^G|; a subset nearer |a^G| saves less than a
@@ -349,14 +354,71 @@ def _conjugation_orbit(
         found.append(fresh)
 
 
+def _maps_of_rank(n: int, k: int) -> int:
+    """The number of maps on n points of rank k: S(n,k) n!/(n-k)!."""
+    onto = sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1))
+    return comb(n, k) * onto
+
+
+def _digit_masks(n: int, digits: int) -> np.ndarray:
+    """Image-point bitmask of every base-n digit string of that length."""
+    rest = np.arange(n**digits, dtype=np.int64)
+    masks = np.zeros_like(rest)
+    for _ in range(digits):
+        masks |= np.int64(1) << (rest % n)
+        rest //= n
+    return masks
+
+
+def _rank_candidates(n: int, rank: int | None, start: int = 0) -> Iterator[np.ndarray]:
+    """Ascending encodings >= start of the maps of rank `rank` (of any rank
+    below n when None), in sorted chunks.
+
+    An encoding is a prefix of the first ceil(n/2) image digits and a
+    suffix of the other l = floor(n/2).  Whether a suffix completes a
+    prefix to the wanted rank depends only on the prefix's image-point
+    bitmask, so the candidates of one prefix are prefix * n^l + the
+    sorted suffix table of its mask; a chunk joins the candidates of
+    consecutive prefixes up to about _CANDIDATE_CHUNK.  Tables are built
+    on first use: at most 2^n of them, each of at most n^l entries.
+    """
+    low = n // 2
+    scale = n**low
+    ranks = np.array([bin(m).count("1") for m in range(1 << n)])
+    wanted = ranks == rank if rank is not None else ranks < n
+    suffix_masks = _digit_masks(n, low)
+    prefix_masks = _digit_masks(n, n - low).tolist()
+    tables: dict[int, np.ndarray] = {}
+
+    def table(mask: int) -> np.ndarray:
+        if mask not in tables:
+            tables[mask] = np.flatnonzero(wanted[mask | suffix_masks]).astype(np.int32)
+        return tables[mask]
+
+    step = max(1, _CANDIDATE_CHUNK // scale)
+    for lo in range(start // scale, len(prefix_masks), step):
+        hi = min(lo + step, len(prefix_masks))
+        parts = [table(mask) for mask in prefix_masks[lo:hi]]
+        sizes = [t.size for t in parts]
+        if not any(sizes):
+            continue
+        chunk = np.concatenate(parts) + np.repeat(np.arange(lo, hi, dtype=np.int64) * scale, sizes)
+        chunk = chunk[np.searchsorted(chunk, start):]
+        if chunk.size:
+            yield chunk
+
+
 class ConjugacySweep:
     """Ascending enumeration of conjugation-orbit representatives on T_n.
 
-    One bit per encoding of T_n; permutation encodings are pre-marked so
-    only singular maps are visited.  Every unset encoding is the least
-    member of an unseen orbit: that orbit is fully expanded and crossed
-    off before the cursor moves on, which makes every yielded
-    representative the minimum of its orbit.  State (bitmap, cursor,
+    One bit per encoding of T_n; permutation encodings are pre-marked.
+    The walk visits only the candidate encodings of the wanted rank (any
+    rank below n without a filter), in ascending order: every unset
+    candidate is the least member of an unseen orbit, which is fully
+    expanded and crossed off before the cursor moves on, so every
+    yielded representative is the minimum of its orbit.  Under a rank
+    filter only the rank-k orbits are marked and counted, and
+    singular_total is the number of rank-k maps.  State (bitmap, cursor,
     counters, metadata) can be saved and resumed.
     """
 
@@ -375,7 +437,10 @@ class ConjugacySweep:
         self.degree = n
         self.rank = rank
         self.total = n**n
-        self.singular_total = n**n - factorial(n)
+        if rank is None:
+            self.singular_total = n**n - factorial(n)
+        else:
+            self.singular_total = _maps_of_rank(n, rank)
         self.cursor = 0
         self.orbits = 0
         self.singular_seen = 0
@@ -390,37 +455,36 @@ class ConjugacySweep:
 
     def _advance(self) -> Iterator[tuple[int, int]]:
         """Expand each unseen orbit from the cursor on: (least encoding, size)."""
-        while (enc := self.bitmap.next_unset(self.cursor)) is not None:
-            size = _conjugation_orbit(self._action, enc, self.bitmap).shape[0]
-            self.cursor = enc + 1
-            self.orbits += 1
-            self.singular_seen += size
-            yield enc, size
+        for chunk in _rank_candidates(self.degree, self.rank, self.cursor):
+            for enc in self.bitmap.filter_unset(chunk).tolist():
+                # an expansion can mark later members of the same chunk
+                if self.bitmap.test(enc):
+                    continue
+                size = _conjugation_orbit(self._action, enc, self.bitmap).shape[0]
+                self.cursor = enc + 1
+                self.orbits += 1
+                self.singular_seen += size
+                yield enc, size
         self.cursor = self.total
 
     def __iter__(self) -> Iterator[tuple[Transformation, int]]:
         for enc, size in self._advance():
-            rep = Transformation.decode(self.degree, enc)
-            if self.rank is None or rep.rank == self.rank:
-                yield rep, size
+            yield Transformation.decode(self.degree, enc), size
 
     def run_to_end(self) -> None:
         """Expand every remaining orbit, keeping counters but no yields.
 
         Orbit-size accounting only needs the totals; when every orbit is
-        a singleton (order-one group) this marks whole encoding blocks
+        a singleton (order-one group) this marks whole candidate chunks
         at once instead of walking 387 million one-map orbits.
         """
         if self.group.order() == 1:
-            chunk = 1 << 20
-            while self.cursor < self.total:
-                end = min(self.cursor + chunk, self.total)
-                encs = np.arange(self.cursor, end, dtype=np.int64)
-                fresh = encs[~self.bitmap.test_batch(encs)]
+            for chunk in _rank_candidates(self.degree, self.rank, self.cursor):
+                fresh = self.bitmap.filter_unset(chunk)
                 self.bitmap.set_batch(fresh)
                 self.orbits += fresh.shape[0]
                 self.singular_seen += fresh.shape[0]
-                self.cursor = end
+            self.cursor = self.total
             return
         for _ in self._advance():
             pass
@@ -468,8 +532,10 @@ class ConjugacySweep:
 
         Consistency: the bitmap holds the n! premarked permutations plus
         every map counted in singular_seen, and meta["checked"] counts
-        every representative enumerated (only those of the filtered rank
-        under a rank filter), so a resume never skips an unchecked map.
+        every representative enumerated, so a resume never skips an
+        unchecked map.  A rank-filtered cache from before the walk kept
+        to the filtered rank counted orbits of other ranks too, and is
+        refused by that rule.
         A cache whose meta["inconclusive"] lists maps comes from a run
         with a capped closure stage; those maps were never decided.
         """
@@ -503,10 +569,11 @@ class ConjugacySweep:
                 f"capped run left undecided; delete {path} and rerun"
             )
         checked = sweep.meta.get("checked", 0)
-        if checked > sweep.orbits or (rank is None and checked != sweep.orbits):
+        if checked != sweep.orbits:
             raise SweepCacheMismatch(
                 f"cache field 'meta.checked' is {checked} but {sweep.orbits} orbits were "
-                f"enumerated; the cache is corrupt, delete {path} and rerun"
+                f"enumerated; the cache is corrupt or comes from a rank sweep that also "
+                f"counted other ranks, delete {path} and rerun"
             )
         return sweep
 

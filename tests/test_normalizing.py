@@ -404,6 +404,55 @@ def _factorial(n):
     return out
 
 
+_RANK_CASES = [
+    (label, n, k)
+    for label, n in (("A4", 4), ("C5", 5), ("AGL(1,5)", 5), ("PSL(2,5)", 6))
+    for k in range(1, n)
+] + [("A8", 8, 2)]
+
+
+@pytest.mark.parametrize("label,n,k", _RANK_CASES)
+def test_rank_orbit_sizes_account_for_every_rank_k_map(label, n, k):
+    group = catalog(label, n)
+    sweep = ConjugacySweep(group, rank=k)
+    total = sum(size for _, size in sweep)
+    assert total == sweep.singular_seen == sweep.singular_total
+    assert sweep.bitmap.popcount() == _factorial(n) + total
+    assert sweep.complete
+    if n <= 6:
+        assert total == sum(Transformation.decode(n, e).rank == k for e in range(n**n))
+    else:
+        assert total == 28 * (2**8 - 2)  # an image pair, onto it: C(8,2) (2^8 - 2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_rank_candidates_match_brute_force(n):
+    ranks = np.array([Transformation.decode(n, e).rank for e in range(n**n)])
+    scale = n ** (n // 2)
+    rng = random.Random(n)
+    starts = {0, 1, scale - 1, scale, scale + 3, 2 * scale + 1, n**n - 1, n**n}
+    starts |= {rng.randrange(n**n) for _ in range(6)}
+    for k in [None, *range(1, n)]:
+        want = np.flatnonzero(ranks == k if k is not None else ranks < n)
+        for start in sorted(starts):
+            chunks = list(normalizing._rank_candidates(n, k, start))
+            assert all(c.size and (np.diff(c) > 0).all() for c in chunks), (k, start)
+            got = np.concatenate(chunks) if chunks else np.array([], dtype=np.int64)
+            assert got.tolist() == want[want >= start].tolist(), (k, start)
+
+
+@pytest.mark.parametrize(
+    "label,n", [("A4", 4), ("C5", 5), ("AGL(1,5)", 5), ("PSL(2,5)", 6), ("A6", 6)]
+)
+def test_rank_sweep_is_the_filtered_full_sweep(label, n):
+    group = catalog(label, n)
+    full = [(rep.encode(), rep.rank, size) for rep, size in ConjugacySweep(group)]
+    for k in range(1, n):
+        want = [(enc, size) for enc, rank, size in full if rank == k]
+        got = [(rep.encode(), size) for rep, size in ConjugacySweep(group, rank=k)]
+        assert got == want, k
+
+
 def test_orbit_sizes_divide_group_order():
     group = catalog("AGL(1,5)", 5)
     for _, size in ConjugacySweep(group):
@@ -463,6 +512,17 @@ def test_cache_roundtrip_resume_and_mismatch(tmp_path):
     with pytest.raises(SweepCacheMismatch):
         ConjugacySweep.load(path, group, rank=2)
 
+    sweep = ConjugacySweep(group, rank=2)
+    stream = iter(sweep)
+    first = [next(stream)[0].encode() for _ in range(5)]
+    sweep.meta["checked"] = 5
+    sweep.save(path)
+    loaded = ConjugacySweep.load(path, group, rank=2)
+    assert (loaded.cursor, loaded.orbits) == (sweep.cursor, 5)
+    rest = [rep.encode() for rep, _ in loaded]
+    fresh = [rep.encode() for rep, _ in ConjugacySweep(group, rank=2)]
+    assert rest and first + rest == fresh
+
 
 def test_load_refuses_inconsistent_cache(tmp_path):
     group = catalog("A4", 4)
@@ -480,9 +540,8 @@ def test_load_refuses_inconsistent_cache(tmp_path):
             ("singular_seen", lambda h: h.update(singular_seen=h["singular_seen"] + 1), body),
             ("singular_seen", lambda h: None, flipped),
             ("meta.checked", lambda h: h["meta"].update(checked=h["orbits"] + 1), body),
+            ("meta.checked", lambda h: h["meta"].update(checked=2), body),
         ]
-        if rank is None:
-            corruptions.append(("meta.checked", lambda h: h["meta"].update(checked=2), body))
         # an older run with a capped closure stage left these maps undecided
         corruptions.append(
             ("meta.inconclusive", lambda h: h["meta"].update(inconclusive=[h["cursor"] - 1]), body)
@@ -494,6 +553,22 @@ def test_load_refuses_inconsistent_cache(tmp_path):
             with pytest.raises(SweepCacheMismatch) as err:
                 ConjugacySweep.load(str(path), group, rank=rank)
             assert repr(field) in str(err.value) and "delete" in str(err.value)
+
+
+def test_load_refuses_rank_cache_that_counted_other_ranks(tmp_path):
+    # a rank-2 run used to walk every orbit and count all of them, while
+    # meta.checked counted only the rank-2 ones
+    group = catalog("A4", 4)
+    path = tmp_path / "a4-r2.sweep"
+    sweep = ConjugacySweep(group)
+    stream = iter(sweep)
+    reps = [next(stream)[0] for _ in range(6)]
+    sweep.rank = 2
+    sweep.meta["checked"] = sum(rep.rank == 2 for rep in reps)
+    sweep.save(str(path))
+    with pytest.raises(SweepCacheMismatch) as err:
+        ConjugacySweep.load(str(path), group, rank=2)
+    assert "'meta.checked'" in str(err.value) and "delete" in str(err.value)
 
 
 # -- sweeping decisions ------------------------------------------------------
@@ -641,6 +716,19 @@ def test_progress_callback_fires():
     assert seen
     assert seen[-1].singular_total == 4**4 - 24
     assert seen[-1].group == "A4"
+
+
+def test_rank_progress_reaches_the_rank_total():
+    seen = []
+    v = is_k_normalizing(catalog("A4", 4), 2, progress=seen.append, progress_interval=0.0)
+    assert v.status == STATUS_NORMALIZING
+    assert seen[-1].singular_seen == seen[-1].singular_total == 84
+
+
+def test_a8_rank_2_checks_only_its_rank_2_representatives():
+    v = is_k_normalizing(catalog("A8", 8), 2)
+    assert v.status == STATUS_NORMALIZING
+    assert v.checked == 14
 
 
 # -- class-level checks and fixtures ----------------------------------------
