@@ -10,8 +10,8 @@ reports.
 The element matrix (one row per element, one column per point) is the
 workhorse for the vectorized callers in the normalizing machinery, and
 its sorted rows answer membership by binary search.  Orbits here are
-point orbits; conjugation orbits of maps live with the sweep in
-normalizing.py.
+point orbits and orbits on point sets; conjugation orbits of maps live
+with the sweep in normalizing.py.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ class PermutationGroup:
         self._matrix: np.ndarray | None = None
         self._inverse_matrix: np.ndarray | None = None
         self._sorted_rows: np.ndarray | None = None
+        self._subset_orbits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- element enumeration -------------------------------------------------
 
@@ -140,6 +141,64 @@ class PermutationGroup:
                     seen.add(y)
                     members.append(y)
         return tuple(members)
+
+    def subset_orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The orbits on point sets, each set given by its bitmask.
+
+        Returns (label, parent, via), one entry per mask m of the 2**degree:
+        label[m] is the least mask of m's orbit, the root of a Schreier
+        tree over the orbit, in which generator via[m] maps the set
+        parent[m] onto m (both -1 at a root).  Built on first use.
+        """
+        if self._subset_orbits is None:
+            size = 1 << self.degree
+            masks = np.arange(size, dtype=np.int64)
+            acts = []
+            for g in self.generators:
+                moved = np.zeros(size, dtype=np.int64)
+                for p, q in enumerate(g.images):
+                    moved |= ((masks >> p) & 1) << q
+                acts.append(moved.tolist())
+            label, parent, via = [-1] * size, [-1] * size, [-1] * size
+            # roots ascend, so each root is the least mask of its orbit
+            for root in range(size):
+                if label[root] >= 0:
+                    continue
+                label[root] = root
+                tree = [root]
+                for m in tree:  # the list grows as the walk reaches new sets
+                    for gi, act in enumerate(acts):
+                        y = act[m]
+                        if label[y] < 0:
+                            label[y], parent[y], via[y] = root, m, gi
+                            tree.append(y)
+            self._subset_orbits = (np.array(label), np.array(parent), np.array(via))
+        return self._subset_orbits
+
+    def subset_transporter(self, src: int, dst: int) -> Permutation | None:
+        """Some element mapping the point set src onto dst (bitmasks), if any.
+
+        Read from the Schreier trees of subset_orbits: the words from the
+        orbit's root to src and to dst give h = (word to src)^-1 (word to dst).
+        """
+        label, parent, via = self.subset_orbits()
+        if label[src] != label[dst]:
+            return None
+        gens = [np.array(g.images) for g in self.generators]
+
+        def from_root(m: int) -> np.ndarray:
+            path = []
+            while parent[m] >= 0:
+                path.append(int(via[m]))
+                m = int(parent[m])
+            perm = np.arange(self.degree)
+            for gi in reversed(path):
+                perm = gens[gi][perm]
+            return perm
+
+        h = np.empty(self.degree, dtype=np.int64)
+        h[from_root(src)] = from_root(dst)
+        return Permutation(h.tolist())
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree

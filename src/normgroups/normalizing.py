@@ -15,17 +15,23 @@ Each map is checked with a fixed strategy order:
    any product of two or more conjugates of a drops rank, so the
    rank-preserving members of <a^G> are exactly the conjugates; every
    a*g (same rank as a) is tested against the conjugate set directly.
-   Exact in both directions.
+   Exact in both directions.  Whether such an h exists is read from the
+   group's orbits on point sets (a table over all 2^n bitmasks, built
+   once per group): one exists exactly when some section, one point per
+   kernel class, shares the orbit of image(a).
 2. r-class: test a*g for membership in the R-class of a inside <a^G>
    via the strong-orbit certificate.  Sufficient for membership but not
    necessary, so only an all-pass is conclusive.  The certificate is
-   first built over growing subsets T of a^G (256 conjugates, then
-   doubling while 4|T| <= |a^G|; the last tier is all of a^G), each
-   holding a itself and an evenly strided pick of the sorted conjugates,
-   and each tier re-tests only the products the earlier ones rejected.
-   This is exact: if x is R-related to a in <T>, with a in T and T
-   within a^G, then x is R-related to a in <a^G>, so the tiers together
-   accept exactly what the full certificate accepts.
+   first built over growing subsets T of a^G, each holding a itself.
+   When 4 * 256 <= |G| the first is the conjugates of a by 256 elements
+   at evenly strided indices, which needs no pass over G; the next are
+   evenly strided picks of the sorted a^G, doubling while 4|T| <= |a^G|,
+   and the last is all of a^G.  Each tier re-tests only the products
+   the earlier ones rejected, so a^G is built in full only after a
+   rejection, for the shortcut, or for the closure stage.  This is
+   exact: if x is R-related to a in <T>, with a in T and T within a^G,
+   then x is R-related to a in <a^G>, so the tiers together accept
+   exactly what the full certificate accepts.
 3. closure: exact membership of the products the r-class stage left,
    by kernel_members.  A product x of rank r = rank(a) that factors as
    c1 c2 ... ck over a^G has ker(c1) = ker(a), so its values on a
@@ -36,7 +42,8 @@ Each map is checked with a fixed strategy order:
    trace label so reports stay as they were.
 
 check_pair, which replays one witness, runs the same ladder on the single
-product a*g.
+product a*g, so a replay accepted by the first tier also never passes
+over G.
 """
 
 from __future__ import annotations
@@ -114,8 +121,8 @@ _SWEEP_BATCH = 128
 _CANDIDATE_CHUNK = 4096
 
 # r-class tiers: conjugate subsets of 256, 512, ... picks, each tried only
-# while 4 * its size <= |a^G|; a subset nearer |a^G| saves less than a
-# failed tier costs
+# while 4 * its size <= |a^G| (the first, picked by element, while
+# 4 * 256 <= |G|); a subset nearer |a^G| saves less than a failed tier costs
 _TIER_FIRST = 256
 _TIER_CUTOFF = 4
 
@@ -182,21 +189,35 @@ class SweepProgress:
 ProgressFn = Callable[[SweepProgress], None]
 
 
-def _conjugate_tiers(conj_encs: np.ndarray, anchor_enc: int) -> Iterator[np.ndarray | slice]:
-    """Index sets of the growing conjugate subsets the r-class stage tries.
+def _image_mask(a: Transformation) -> int:
+    """Bitmask of the points of image(a)."""
+    return sum(1 << p for p in set(a.images))
 
-    Each subset holds the anchor plus an evenly strided pick from the
-    sorted encodings.  The first has _TIER_FIRST picks and each next one
-    doubles while _TIER_CUTOFF times its size is at most |a^G|; the last
-    tier is always all of a^G.
+
+def _section_masks(a: Transformation) -> np.ndarray:
+    """Bitmask of every section of ker(a): one point from each kernel class."""
+    masks = np.zeros(1, dtype=np.int64)
+    for cls in a.kernel().classes():
+        masks = (masks[:, None] | (np.int64(1) << np.array(cls, dtype=np.int64))).ravel()
+    return masks
+
+
+def _section_target(group: PermutationGroup, a: Transformation) -> int:
+    """A section of ker(a), as a bitmask, in the G-orbit of image(a); -1 if none.
+
+    Some h in G maps image(a) onto a section exactly when a section shares
+    the orbit label of image(a); there are at most prod |class| sections.
     """
-    m = conj_encs.shape[0]
-    anchor = np.searchsorted(conj_encs, anchor_enc)
-    size = _TIER_FIRST
-    while _TIER_CUTOFF * size <= m:
-        yield np.union1d(np.arange(size, dtype=np.int64) * m // size, anchor)
-        size *= 2
-    yield slice(None)
+    label = group.subset_orbits()[0]
+    sections = _section_masks(a)
+    hits = np.flatnonzero(label[sections] == label[_image_mask(a)])
+    return int(sections[hits[0]]) if hits.size else -1
+
+
+def _conjugate_encodings(M: np.ndarray, Minv: np.ndarray, a: Transformation) -> np.ndarray:
+    """Sorted distinct encodings of a^g for the element rows M (inverse rows Minv)."""
+    a8 = np.array(a.images, dtype=np.int8)
+    return np.unique(encode_rows(np.take_along_axis(M, a8[Minv], axis=1)))
 
 
 def _require_singular(group: PermutationGroup, a: Transformation) -> None:
@@ -212,26 +233,34 @@ class _MapChecker:
     def __init__(self, group: PermutationGroup):
         self.group = group
         self.M = group.element_matrix()
-        self.M64 = self.M.astype(np.int64)
-        self.Minv64 = group.inverse_matrix().astype(np.int64)
-
-    def section_mapper_index(self, a: Transformation) -> int:
-        """Least element index mapping image(a) onto a section of ker(a)."""
-        img = np.unique(np.array(a.images, dtype=np.int64))
-        K = np.array(a.kernel().class_ids, dtype=np.int64)
-        rows = K[self.M64[:, img]]
-        if img.shape[0] > 1:
-            srt = np.sort(rows, axis=1)
-            ok = np.all(np.diff(srt, axis=1) != 0, axis=1)
-        else:
-            ok = np.ones(rows.shape[0], dtype=bool)
-        hits = np.flatnonzero(ok)
-        return int(hits[0]) if hits.size else -1
 
     def _conjugates(self, a: Transformation) -> np.ndarray:
-        """Sorted distinct encodings of the conjugates a^g."""
-        a64 = np.array(a.images, dtype=np.int64)
-        return np.unique(encode_rows(np.take_along_axis(self.M, a64[self.Minv64], axis=1)))
+        """Sorted distinct encodings of all of a^G: one pass over G."""
+        return _conjugate_encodings(self.M, self.group.inverse_matrix(), a)
+
+    def _conjugate_tiers(self, a: Transformation) -> Iterator[np.ndarray]:
+        """Sorted encodings of the growing subsets T of a^G the r-class stage tries.
+
+        Each holds a.  When _TIER_CUTOFF * _TIER_FIRST <= |G|, the first is
+        the conjugates of a by the _TIER_FIRST elements at evenly strided
+        indices, which needs no pass over G.  The rest are evenly strided
+        picks of the sorted a^G, doubling while _TIER_CUTOFF times their
+        size is at most |a^G|, and the last is all of a^G.  After an
+        element pick, a^G is built only once that tier has rejected a product.
+        """
+        anchor = a.encode()
+        order = self.M.shape[0]
+        size = _TIER_FIRST
+        if _TIER_CUTOFF * size <= order:
+            rows = self.M[np.arange(size) * order // size]
+            yield np.union1d(_conjugate_encodings(rows, np.argsort(rows, axis=1), a), anchor)
+            size *= 2
+        conj_encs = self._conjugates(a)
+        m = conj_encs.shape[0]
+        while _TIER_CUTOFF * size <= m:
+            yield np.union1d(conj_encs[np.arange(size) * m // size], anchor)
+            size *= 2
+        yield conj_encs
 
     def check(self, a: Transformation) -> NormalizingVerdict:
         """Decide whether every a*g lies in <a^G>."""
@@ -243,7 +272,7 @@ class _MapChecker:
         # |pointwise stabilizer of image(a)| elements; keeping the least g
         # of each keeps the least failing g as the witness
         img = np.unique(a64)
-        if np.count_nonzero((self.M64[:, img] == img).all(axis=1)) == 1:
+        if np.count_nonzero((self.M[:, img] == img).all(axis=1)) == 1:
             return self._decide(a, prods, elements.__getitem__)
         keep = np.sort(np.unique(encode_rows(prods), return_index=True)[1])
         return self._decide(a, prods[keep], lambda i: elements[keep[i]])
@@ -264,7 +293,6 @@ class _MapChecker:
         <a^G> names factor(i) as the witness.
         """
         t0 = time.perf_counter()
-        conj_encs = self._conjugates(a)
 
         def verdict(status: str, trace: tuple[str, ...], bad: int = -1, reason: str = ""):
             witness = FailureWitness(factor(bad), reason) if bad >= 0 else None
@@ -273,8 +301,8 @@ class _MapChecker:
                 checked=1, seconds=time.perf_counter() - t0,
             )
 
-        if self.section_mapper_index(a) < 0:
-            bad = np.flatnonzero(~isin_sorted(encode_rows(prods), conj_encs))
+        if _section_target(self.group, a) < 0:
+            bad = np.flatnonzero(~isin_sorted(encode_rows(prods), self._conjugates(a)))
             if bad.size:
                 return verdict(STATUS_NOT, ("shortcut",), int(bad[0]), REASON_CONJUGATE)
             return verdict(STATUS_NORMALIZING, ("shortcut",))
@@ -282,8 +310,8 @@ class _MapChecker:
         # R-related to a in <a^G>: a tier only accepts what the full
         # certificate accepts, so each tier re-tests the rest
         bad = np.arange(prods.shape[0])
-        for pick in _conjugate_tiers(conj_encs, a.encode()):
-            conj_rows = decode_encodings(conj_encs[pick], self.group.degree)
+        for encs in self._conjugate_tiers(a):
+            conj_rows = decode_encodings(encs, self.group.degree)
             cert = certificate_from_matrix(conj_rows, a)
             bad = bad[~cert.contains_products(prods[bad])]
             if bad.size == 0:
@@ -297,15 +325,17 @@ class _MapChecker:
 
 
 def exists_section_mapper(group: PermutationGroup, a: Transformation) -> Permutation | None:
-    """Some h in G taking image(a) onto a section of ker(a), if any.
+    """Some h in G taking image(a) onto a section of ker(a), or None.
 
-    When this returns None, every product of two or more G-conjugates
-    of a has rank below rank(a), so the rank-preserving members of
-    <a^G> are exactly the single conjugates.
+    Which h comes back is not specified: it is read from the Schreier
+    trees of the group's orbits on point sets.  When this returns None,
+    every product of two or more G-conjugates of a has rank below
+    rank(a), so the rank-preserving members of <a^G> are exactly the
+    single conjugates.
     """
     _require_singular(group, a)
-    idx = _MapChecker(group).section_mapper_index(a)
-    return group.elements()[idx] if idx >= 0 else None
+    target = _section_target(group, a)
+    return group.subset_transporter(_image_mask(a), target) if target >= 0 else None
 
 
 def is_a_normalizing(group: PermutationGroup, a: Transformation) -> NormalizingVerdict:
@@ -791,7 +821,7 @@ def is_class_normalizing(group: PermutationGroup, a: Transformation) -> Normaliz
             reps.append(Transformation.decode(n, enc))
     checker = _MapChecker(group)
     # mapper-free representatives decide via the exact shortcut; try them first
-    reps.sort(key=lambda r: (checker.section_mapper_index(r) >= 0, r.encode()))
+    reps.sort(key=lambda r: (_section_target(group, r) >= 0, r.encode()))
     for idx, rep in enumerate(reps):
         v = checker.check(rep)
         if v.status == STATUS_NOT:
@@ -820,10 +850,9 @@ def m12_witness_check() -> NormalizingVerdict:
     g = Permutation.parse(M12_WITNESS_G, 12)
     if g not in group:
         raise RuntimeError("witness permutation is not in M12")
-    checker = _MapChecker(group)
-    if checker.section_mapper_index(a) >= 0:
+    if _section_target(group, a) >= 0:
         raise RuntimeError("unexpected section mapper for the M12 witness map")
-    pair = checker.check_pair(a, g)
+    pair = _MapChecker(group).check_pair(a, g)
     if pair.status != STATUS_NOT:
         raise RuntimeError("M12 witness pair unexpectedly inside the semigroup")
     return NormalizingVerdict(

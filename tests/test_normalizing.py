@@ -10,7 +10,7 @@ import json
 import os
 import random
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -44,6 +44,7 @@ from normgroups.semigroups import (
     certificate_from_matrix,
     decode_encodings,
     encode_rows,
+    kernel_members,
 )
 from normgroups.transform import Permutation, Transformation, is_section
 
@@ -185,23 +186,30 @@ def test_conjugate_tiers_accept_only_what_the_full_certificate_accepts():
         maps = list(fixed.get(group.label, []))
         while len(maps) < 8:
             a = Transformation([rng.randrange(n) for _ in range(n)])
-            if not a.is_permutation() and checker.section_mapper_index(a) >= 0:
+            if not a.is_permutation() and exists_section_mapper(group, a) is not None:
                 maps.append(a)
         subset_tiers = 0
         for a in maps:
             conj_encs = checker._conjugates(a)
             full = _certified(checker, a, conj_encs)
-            picks = list(normalizing._conjugate_tiers(conj_encs, a.encode()))
-            assert picks[-1] == slice(None)
-            for pick in picks[:-1]:
-                assert pick.shape[0] >= 256 and conj_encs[pick].tolist().count(a.encode()) == 1
-                tier = _certified(checker, a, conj_encs, pick)
-                assert not (tier & ~full).any(), (group.label, a.one_based())
+            tiers = list(checker._conjugate_tiers(a))
+            # every tier lies in a^G and holds a once; the last is all of a^G
+            for tier in tiers:
+                assert tier.tolist().count(a.encode()) == 1
+                assert np.isin(tier, conj_encs).all()
+            assert np.array_equal(tiers[-1], conj_encs)
+            # |G| >= 1024 here, so the first tier is the element pick
+            assert tiers[0].shape[0] <= 257
+            for tier in tiers[:-1]:
+                accepted = _certified(checker, a, tier)
+                assert not (accepted & ~full).any(), (group.label, a.one_based())
                 subset_tiers += 1
+            for tier in tiers[1:-1]:
+                assert tier.shape[0] >= 512
             if a in fixed.get(group.label, []):
                 # a known negative: every tier rejects some product, and the
                 # exact stage finds the least g whose a*g escapes <a^G>
-                assert len(conj_encs) == 2520 and len(picks) == 3
+                assert len(conj_encs) == 2520 and len(tiers) == 3
                 assert not full.all()
                 v = is_a_normalizing(group, a)
                 assert v.status == STATUS_NOT and v.trace == ("r-class", "closure")
@@ -209,6 +217,97 @@ def test_conjugate_tiers_accept_only_what_the_full_certificate_accepts():
                 replay = check_pair(group, a, v.witness.g)
                 assert replay.status == STATUS_NOT and replay.witness == v.witness
         assert subset_tiers > 0, group.label
+
+
+def _reference_ladder(checker, a):
+    """The unstaged ladder on every product a*g, g in element order.
+
+    The shortcut from a brute-force search for a section mapper, else the
+    certificate over all of a^G and kernel_members for what it rejects.
+    Returns (shortcut, accepted by the certificate, inside <a^G>) per g.
+    """
+    group = checker.group
+    M = group.element_matrix()
+    conj_encs = np.unique(
+        encode_rows(np.take_along_axis(M, np.array(a.images)[group.inverse_matrix()], axis=1))
+    )
+    prods = M[:, np.array(a.images)]
+    if not _section_mapper_rows(group, a).any():
+        inside = np.isin(encode_rows(prods), conj_encs)
+        return True, inside, inside
+    accepted = _certified(checker, a, conj_encs)
+    inside = accepted.copy()
+    inside[~accepted] = kernel_members(decode_encodings(conj_encs, a.degree), a, prods[~accepted])
+    return False, accepted, inside
+
+
+def test_ladder_matches_the_unstaged_reference():
+    # the section-mapper table and the conjugate tiers change only what a
+    # decision costs: status, witness and trace equal those of the full-a^G
+    # ladder, for whole checks and for single replayed products
+    rng = random.Random(61)
+    fixed = {"Sym{1..7}": [Transformation.parse("5,2,6,5,7,8,3,5")]}
+    traces = set()
+    for group in (catalog("A7", 7), catalog("S7", 7), catalog("A8", 8), _sym7_on_8_points()):
+        checker = normalizing._MapChecker(group)
+        n = group.degree
+        elements = group.elements()
+        maps = list(fixed.get(group.label, []))
+        while len(maps) < 6:
+            pts = rng.sample(range(n), rng.randrange(2, n))
+            a = Transformation([rng.choice(pts) for _ in range(n)])
+            if not a.is_permutation():
+                maps.append(a)
+        for a in maps:
+            shortcut, accepted, inside = _reference_ladder(checker, a)
+
+            def trace(ok):
+                return ("shortcut",) if shortcut else ("r-class",) if ok else ("r-class", "closure")
+
+            v = is_a_normalizing(group, a)
+            assert v.normalizing == inside.all(), (group.label, a.one_based())
+            assert v.trace == trace(accepted.all())
+            bad = np.flatnonzero(~inside)
+            if bad.size:
+                assert v.witness.g == elements[bad[0]]
+                assert v.witness.reason == ("conjugate-mismatch" if shortcut else "membership-failed")
+            else:
+                assert v.witness is None
+            traces.add(v.trace)
+            for i in rng.sample(range(len(elements)), 3) + bad[:1].tolist():
+                pair = check_pair(group, a, elements[i])
+                assert pair.normalizing == inside[i], (a.one_based(), i)
+                assert pair.trace == trace(accepted[i])
+    assert traces == {("shortcut",), ("r-class",), ("r-class", "closure")}
+
+
+def test_first_tier_acceptance_never_builds_all_of_a_g(monkeypatch):
+    # an A8 rank-2 map is accepted by the conjugates of 256 strided
+    # elements; the pass over all 20,160 elements for a^G is never made
+    full_builds = []
+    conjugates = normalizing._MapChecker._conjugates
+
+    def spy(checker, a):
+        full_builds.append(a)
+        return conjugates(checker, a)
+
+    sizes = []
+    certificate = normalizing.certificate_from_matrix
+
+    def spy_cert(rows, a):
+        sizes.append(rows.shape[0])
+        return certificate(rows, a)
+
+    monkeypatch.setattr(normalizing._MapChecker, "_conjugates", spy)
+    monkeypatch.setattr(normalizing, "certificate_from_matrix", spy_cert)
+    group = catalog("A8", 8)
+    a = Transformation.parse("1,1,1,1,1,2,2,2")
+    v = is_a_normalizing(group, a)
+    assert v.status == STATUS_NORMALIZING and v.trace == ("r-class",)
+    replay = check_pair(group, a, group.elements()[-1])
+    assert replay.status == STATUS_NORMALIZING
+    assert full_builds == []
+    assert len(sizes) == 2 and max(sizes) <= 257
 
 
 def test_r_class_stage_matches_closure_at_degree_7():
@@ -320,27 +419,80 @@ def test_shortcut_failures_are_non_conjugates():
     assert (a * v.witness.g) not in conjugate_set(group, a)
 
 
+def _section_mapper_rows(group, a):
+    """Which elements map image(a) onto a section of ker(a), by brute force."""
+    img = np.array(a.image())
+    classes = np.sort(np.array(a.kernel().class_ids)[group.element_matrix()[:, img]], axis=1)
+    return (np.diff(classes, axis=1) != 0).all(axis=1)
+
+
 def test_exists_section_mapper_matches_brute_force():
     rng = random.Random(29)
-    for label, n in (("AGL(1,5)", 5), ("PSL(2,5)", 6)):
+    outcomes = set()
+    cases = [("AGL(1,5)", 5), ("PSL(2,5)", 6), ("S7", 7), ("A8", 8), ("PSL(2,8)", 9)]
+    for label, n in cases:
         group = catalog(label, n)
-        elems = group.elements()
-        for _ in range(30):
-            images = [rng.randrange(n) for _ in range(n)]
-            a = Transformation(images)
-            if a.is_permutation():
-                continue
-            kernel = a.kernel()
-            found = None
-            for h in elems:
-                moved = [h.images[p] for p in a.image()]
-                if is_section(moved, kernel):
-                    found = h
-                    break
+        maps = []
+        while len(maps) < 30:
+            pts = rng.sample(range(n), rng.randrange(1, n))
+            a = Transformation([rng.choice(pts) for _ in range(n)])
+            if not a.is_permutation():
+                maps.append(a)
+        for a in maps:
+            exists = bool(_section_mapper_rows(group, a).any())
             got = exists_section_mapper(group, a)
-            assert (got is None) == (found is None), a.one_based()
+            assert (got is not None) == exists, (label, a.one_based())
             if got is not None:
-                assert is_section([got.images[p] for p in a.image()], kernel)
+                assert got in group
+                assert is_section([got.images[p] for p in a.image()], a.kernel())
+            outcomes.add(exists)
+    group = catalog("M12", 12)
+    a = Transformation.from_one_based(M12_WITNESS_MAP)
+    assert not _section_mapper_rows(group, a).any()
+    assert exists_section_mapper(group, a) is None
+    # random maps of these groups almost always have a mapper
+    assert True in outcomes
+
+
+@pytest.mark.parametrize("label", ["A7", "AGL(1,7)", "C7"])
+def test_subset_orbit_labels_match_brute_force(label):
+    # two point sets share a label exactly when some element maps one onto
+    # the other, and the transporter is such an element; so a section of
+    # ker(a) shares the label of image(a) exactly when a section mapper exists
+    if label == "C7":
+        group = PermutationGroup([Permutation.parse("(1 2 3 4 5 6 7)", 7)], label="C7")
+    else:
+        group = catalog(label, 7)
+    labels = group.subset_orbits()[0]
+    M = group.element_matrix().astype(np.int64)
+    for mask in range(1 << 7):
+        pts = [p for p in range(7) if mask >> p & 1]
+        reached = np.unique((np.int64(1) << M[:, pts]).sum(axis=1))
+        assert np.array_equal(reached, np.flatnonzero(labels == labels[mask]))
+        for dst in reached[:: max(1, reached.size // 3)].tolist():
+            h = group.subset_transporter(mask, dst)
+            assert h in group and sum(1 << h.images[p] for p in pts) == dst
+    # every kernel, and one image set per orbit on r-sets: whether a mapper
+    # exists depends on the image only through its orbit
+    outcomes = set()
+    for ids in _set_partitions(7):
+        r = max(ids) + 1
+        for mask in np.unique(labels[[sum(1 << p for p in c) for c in combinations(range(7), r)]]):
+            image = [p for p in range(7) if mask >> p & 1]
+            a = Transformation(image[c] for c in ids)
+            exists = bool(_section_mapper_rows(group, a).any())
+            assert (normalizing._section_target(group, a) >= 0) == exists, a.one_based()
+            outcomes.add(exists)
+    # every map on 7 points has a section mapper under A7 and AGL(1,7)
+    assert outcomes == ({True, False} if label == "C7" else {True})
+
+
+def _set_partitions(n):
+    """Every set partition of n points into fewer than n classes, as class ids."""
+    out = [(0,)]
+    for _ in range(n - 1):
+        out = [ids + (c,) for ids in out for c in range(max(ids) + 2)]
+    return [ids for ids in out if max(ids) < n - 1]
 
 
 def test_degree_mismatch_and_permutation_rejected():
