@@ -61,6 +61,7 @@ class PermutationGroup:
         self._inverse_matrix: np.ndarray | None = None
         self._sorted_rows: np.ndarray | None = None
         self._subset_orbits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._restrictions: dict[int, np.ndarray | None] = {}
 
     # -- element enumeration -------------------------------------------------
 
@@ -174,6 +175,30 @@ class PermutationGroup:
                             tree.append(y)
             self._subset_orbits = (np.array(label), np.array(parent), np.array(via))
         return self._subset_orbits
+
+    def distinct_restrictions(self, mask: int) -> np.ndarray | None:
+        """The first element of each distinct restriction to a point set.
+
+        For the set I given by its bitmask, the ascending (discovery-order)
+        int32 indices of the elements g at which each restriction g|_I
+        first occurs; there are |G : G_(I)| of them, G_(I) the pointwise
+        stabilizer of I.  None when G_(I) is trivial, where every element
+        is its own first.  Built per mask on first use, by one pass over
+        the elements with a base-degree key of their images on I.
+        """
+        if mask not in self._restrictions:
+            n = self.degree
+            points = [p for p in range(n) if (mask >> p) & 1]
+            keys = self.element_matrix()[:, points].astype(np.int64) @ (
+                n ** np.arange(len(points), dtype=np.int64)
+            )
+            # row 0 is the identity, so rows with its key make up G_(I)
+            if np.count_nonzero(keys == keys[0]) == 1:
+                self._restrictions[mask] = None
+            else:
+                firsts = np.unique(keys, return_index=True)[1]
+                self._restrictions[mask] = np.sort(firsts).astype(np.int32)
+        return self._restrictions[mask]
 
     def subset_transporter(self, src: int, dst: int) -> Permutation | None:
         """Some element mapping the point set src onto dst (bitmasks), if any.

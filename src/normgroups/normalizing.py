@@ -9,7 +9,12 @@ visiting only the maps of the requested rank (every rank below n for a
 full sweep), and drives the per-degree classification of normalizing
 groups.
 
-Each map is checked with a fixed strategy order:
+Each map is checked on its distinct products only: a*g depends only on g
+on I = image(a), so aG has |G : G_(I)| members, G_(I) the pointwise
+stabilizer of I.  The least g giving each is read from a per-group table
+keyed by the bitmask of I (PermutationGroup.distinct_restrictions), built
+by one pass over G the first time an image set is seen; the least failing
+g stays the witness.  The products go through a fixed strategy order:
 
 1. shortcut: if no h in G maps image(a) onto a section of ker(a), then
    any product of two or more conjugates of a drops rank, so the
@@ -266,16 +271,14 @@ class _MapChecker:
         """Decide whether every a*g lies in <a^G>."""
         _require_singular(self.group, a)
         a64 = np.array(a.images, dtype=np.int64)
-        prods = self.M[:, a64]
         elements = self.group.elements()
         # a*g depends only on g on image(a), so each product comes from
         # |pointwise stabilizer of image(a)| elements; keeping the least g
         # of each keeps the least failing g as the witness
-        img = np.unique(a64)
-        if np.count_nonzero((self.M[:, img] == img).all(axis=1)) == 1:
-            return self._decide(a, prods, elements.__getitem__)
-        keep = np.sort(np.unique(encode_rows(prods), return_index=True)[1])
-        return self._decide(a, prods[keep], lambda i: elements[keep[i]])
+        firsts = self.group.distinct_restrictions(_image_mask(a))
+        if firsts is None:
+            return self._decide(a, self.M[:, a64], elements.__getitem__)
+        return self._decide(a, self.M[firsts][:, a64], lambda i: elements[firsts[i]])
 
     def check_pair(self, a: Transformation, g: Permutation) -> NormalizingVerdict:
         """Decide membership of the single product a*g in <a^G>."""
@@ -485,7 +488,11 @@ class ConjugacySweep:
 
     def _advance(self) -> Iterator[tuple[int, int]]:
         """Expand each unseen orbit from the cursor on: (least encoding, size)."""
+        data = self.bitmap.data
         for chunk in _rank_candidates(self.degree, self.rank, self.cursor):
+            # every bit of the span is marked: no candidate in it is unseen
+            if (data[chunk[0] >> 3 : (chunk[-1] >> 3) + 1] == 0xFF).all():
+                continue
             for enc in self.bitmap.filter_unset(chunk).tolist():
                 # an expansion can mark later members of the same chunk
                 if self.bitmap.test(enc):

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from normgroups.catalog import catalog
@@ -233,3 +234,39 @@ def test_group_from_generator_text():
     assert err.value.line == 2
     short = group_from_generator_text("(1 2)\n(4 5)")
     assert short.degree == 5 and short.order() == 4
+
+
+def brute_force_restrictions(group, points):
+    # the first element of each distinct restriction to the points, and
+    # how many elements fix every point
+    firsts = {}
+    fixers = 0
+    for i, g in enumerate(group.elements()):
+        firsts.setdefault(tuple(g.images[p] for p in points), i)
+        fixers += all(g.images[p] == p for p in points)
+    return sorted(firsts.values()), fixers
+
+
+@pytest.mark.parametrize(
+    "label,n,sample",
+    [("A7", 7, None), ("S7", 7, None), ("AGL(1,7)", 7, None), ("PSL(2,5)", 6, None),
+     ("C5", 5, None), ("trivial", 3, None), ("A8", 8, 20)],
+)
+def test_distinct_restrictions_match_brute_force(label, n, sample):
+    # a fresh copy, so the table is built here and not read from a cache
+    group = PermutationGroup(catalog(label, n).generators, degree=n, label=label)
+    masks = range(1 << n)
+    if sample is not None:
+        masks = random.Random(17).sample(masks, sample)
+    for mask in masks:
+        points = [p for p in range(n) if (mask >> p) & 1]
+        firsts, fixers = brute_force_restrictions(group, points)
+        table = group.distinct_restrictions(mask)
+        if fixers == 1:
+            assert table is None, (label, points)
+            assert firsts == list(range(group.order()))
+        else:
+            assert table is not None and table.dtype == np.int32, (label, points)
+            assert table.tolist() == firsts, (label, points)
+            assert len(firsts) * fixers == group.order()
+        assert group.distinct_restrictions(mask) is table

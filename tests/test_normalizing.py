@@ -310,6 +310,53 @@ def test_first_tier_acceptance_never_builds_all_of_a_g(monkeypatch):
     assert len(sizes) == 2 and max(sizes) <= 257
 
 
+def test_second_check_of_an_image_set_sorts_no_array_of_g_rows(monkeypatch):
+    # the distinct products come from the group's table keyed by image set,
+    # so once {1, 2} is in it no A8 rank-2 check sorts all 20,160 products
+    group = catalog("A8", 8)
+    is_a_normalizing(group, Transformation.parse("1,1,1,1,1,2,2,2"))
+    sizes = []
+    for name in ("unique", "sort", "argsort", "lexsort"):
+
+        def spy(x, *args, _real=getattr(np, name), **kwargs):
+            sizes.append(np.size(x))
+            return _real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    v = is_a_normalizing(group, Transformation.parse("2,1,1,2,1,1,2,1"))
+    assert v.status == STATUS_NORMALIZING and v.trace == ("r-class",)
+    assert sizes and max(sizes) < group.order()
+
+
+def test_degree_9_ladder_matches_kernel_members():
+    # kernel_members over all of a^G is exact in both directions: on every
+    # distinct product of seeded PSL(2,8) maps of ranks 2-4 it must give the
+    # ladder's status and its witness, the least g whose a*g escapes <a^G>
+    group = catalog("PSL(2,8)", 9)
+    M = group.element_matrix()
+    elements = group.elements()
+    rng = random.Random(83)
+    for rank in (2, 3, 4):
+        for _ in range(6):
+            pts = rng.sample(range(9), rank)
+            images = pts + [rng.choice(pts) for _ in range(9 - rank)]
+            rng.shuffle(images)
+            a = Transformation(images)
+            a64 = np.array(a.images)
+            conj_encs = np.unique(
+                encode_rows(np.take_along_axis(M, a64[group.inverse_matrix()], axis=1))
+            )
+            prods = M[:, a64]
+            firsts = np.sort(np.unique(encode_rows(prods), return_index=True)[1])
+            inside = kernel_members(decode_encodings(conj_encs, 9), a, prods[firsts])
+            v = is_a_normalizing(group, a)
+            assert v.normalizing == inside.all(), a.one_based()
+            if inside.all():
+                assert v.witness is None
+            else:
+                assert v.witness.g == elements[firsts[inside.argmin()]]
+
+
 def test_r_class_stage_matches_closure_at_degree_7():
     # the full certificate accepts a*g exactly when a*g is R-related to a
     # in <a^G>: brute force over the rank-pruned closure, which holds every
