@@ -73,8 +73,7 @@ class Bitmap:
         total = int(_POPCOUNT8[self.data].sum(dtype=np.int64))
         return total - (self.data.shape[0] * 8 - self.nbits)
 
-    # not called in the package since the sweep walks candidate chunks;
-    # perfbench/tracer.py wraps this name
+    # the sweep walk calls this past a fully marked span of candidates
     def next_unset(self, start: int = 0) -> int | None:
         """Least unset bit index >= start, or None."""
         if start >= self.nbits:

@@ -49,11 +49,26 @@ g stays the witness.  The products go through a fixed strategy order:
 check_pair, which replays one witness, runs the same ladder on the single
 product a*g, so a replay accepted by the first tier also never passes
 over G.
+
+A sweep checks one map per orbit of the normalizer N = N_{S_n}(G), still
+with G.  Conjugation by h in N is an automorphism of T_n fixing G
+setwise; it maps aG to a^h G and <a^G> to <(a^h)^G>, so G is
+a-normalizing exactly when it is a^h-normalizing.  The coset
+representatives of G in N come from a brute-force pass over S_n, and
+each N-orbit is the G-orbit of its least member conjugated by each of
+them.  Reports still count G-orbits, as a sweep of every G-orbit would:
+a normalizing verdict's `checked` is the number of G-orbits swept.  A
+failure is N-invariant, so the first failing N-representative is the
+least failing map e*, the map a G-sweep stops at, and the checker names
+the same least g.  Its `checked` is recounted as the number of G-orbits
+whose least member is at most e*, by an enumeration-only walk of the
+G-orbits up to e*, so neither a resume nor the worker count can move it.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import tempfile
@@ -403,17 +418,19 @@ def _digit_masks(n: int, digits: int) -> np.ndarray:
     return masks
 
 
-def _rank_candidates(n: int, rank: int | None, start: int = 0) -> Iterator[np.ndarray]:
-    """Ascending encodings >= start of the maps of rank `rank` (of any rank
-    below n when None), in sorted chunks.
+def _rank_walk(n: int, rank: int | None) -> Callable[[int], Iterator[np.ndarray]]:
+    """The walk over the maps of rank `rank` (of any rank below n when None).
 
-    An encoding is a prefix of the first ceil(n/2) image digits and a
-    suffix of the other l = floor(n/2).  Whether a suffix completes a
-    prefix to the wanted rank depends only on the prefix's image-point
-    bitmask, so the candidates of one prefix are prefix * n^l + the
-    sorted suffix table of its mask; a chunk joins the candidates of
-    consecutive prefixes up to about _CANDIDATE_CHUNK.  Tables are built
-    on first use: at most 2^n of them, each of at most n^l entries.
+    The walk, called with a start, yields the ascending encodings >= start
+    of those maps in sorted chunks.  An encoding is a prefix of the first
+    ceil(n/2) image digits and a suffix of the other l = floor(n/2).
+    Whether a suffix completes a prefix to the wanted rank depends only on
+    the prefix's image-point bitmask, so the candidates of one prefix are
+    prefix * n^l + the sorted suffix table of its mask; a chunk joins the
+    candidates of consecutive prefixes up to about _CANDIDATE_CHUNK.
+    Tables are built on first use and kept across calls, so a walk can be
+    restarted further on at no cost: at most 2^n of them, each of at most
+    n^l entries.
     """
     low = n // 2
     scale = n**low
@@ -429,16 +446,64 @@ def _rank_candidates(n: int, rank: int | None, start: int = 0) -> Iterator[np.nd
         return tables[mask]
 
     step = max(1, _CANDIDATE_CHUNK // scale)
-    for lo in range(start // scale, len(prefix_masks), step):
-        hi = min(lo + step, len(prefix_masks))
-        parts = [table(mask) for mask in prefix_masks[lo:hi]]
-        sizes = [t.size for t in parts]
-        if not any(sizes):
-            continue
-        chunk = np.concatenate(parts) + np.repeat(np.arange(lo, hi, dtype=np.int64) * scale, sizes)
-        chunk = chunk[np.searchsorted(chunk, start):]
-        if chunk.size:
-            yield chunk
+
+    def chunks(start: int) -> Iterator[np.ndarray]:
+        for lo in range(start // scale, len(prefix_masks), step):
+            hi = min(lo + step, len(prefix_masks))
+            parts = [table(mask) for mask in prefix_masks[lo:hi]]
+            sizes = [t.size for t in parts]
+            if not any(sizes):
+                continue
+            chunk = np.concatenate(parts) + np.repeat(
+                np.arange(lo, hi, dtype=np.int64) * scale, sizes
+            )
+            chunk = chunk[np.searchsorted(chunk, start):]
+            if chunk.size:
+                yield chunk
+
+    return chunks
+
+
+@functools.lru_cache(maxsize=1)
+def _permutation_rows(n: int) -> np.ndarray:
+    """Every permutation of n points as an int8 row, in ascending encoding
+    order (read-only; shared by the sweep's premarking and the normalizer)."""
+    rows = np.array(list(permutations(range(n))), dtype=np.int8)
+    rows.setflags(write=False)
+    return rows
+
+
+def _normalizer_cosets(group: PermutationGroup) -> np.ndarray:
+    """The least element of each coset of G in its normalizer N in S_n.
+
+    Int8 rows in ascending order, so the identity comes first; |N|/|G| of
+    them.  Brute force over the n! permutation rows: a row p survives a
+    generator s when p^-1 s p lies in G, and the survivors of every
+    generator are N.  Each new coset is then crossed off by one pass over
+    G and one over N, so the cost is n! conjugations per generator plus
+    [N:G] such passes.
+    """
+    n = group.degree
+    M = group.element_matrix()
+    rows = _permutation_rows(n)
+    if M.shape[0] == rows.shape[0]:
+        return rows[:1]
+    members = np.sort(encode_rows(M))
+    for g in group.generators:
+        # p^-1 s p maps p(x) to p(s(x)): scatter instead of inverting p
+        conj = np.empty_like(rows)
+        np.put_along_axis(conj, rows.astype(np.intp), rows[:, list(g.images)], axis=1)
+        rows = rows[isin_sorted(encode_rows(conj), members)]
+    encs = encode_rows(rows)
+    covered = np.zeros(rows.shape[0], dtype=bool)
+    reps = []
+    i = 0
+    while i < rows.shape[0]:
+        reps.append(rows[i])
+        covered[np.searchsorted(encs, encode_rows(M[:, rows[i].astype(np.intp)]))] = True
+        rest = np.flatnonzero(~covered[i:])
+        i += int(rest[0]) if rest.size else rows.shape[0]
+    return np.array(reps)
 
 
 class ConjugacySweep:
@@ -449,15 +514,34 @@ class ConjugacySweep:
     rank below n without a filter), in ascending order: every unset
     candidate is the least member of an unseen orbit, which is fully
     expanded and crossed off before the cursor moves on, so every
-    yielded representative is the minimum of its orbit.  Under a rank
-    filter only the rank-k orbits are marked and counted, and
-    singular_total is the number of rank-k maps.  State (bitmap, cursor,
-    counters, metadata) can be saved and resumed.
+    yielded representative is the minimum of its orbit.  A chunk of
+    candidates whose bitmap span is fully marked sends the walk on to the
+    next unset bit.  Under a rank filter only the rank-k orbits are
+    marked and counted, and singular_total is the number of rank-k maps.
+
+    The orbits are those of the group generated by G and cosets, a set of
+    coset representatives of G in a group H with G <= H <= N_{S_n}(G);
+    the default, the identity alone, gives the G-orbits.  An H-orbit is
+    the G-orbit of its least member a, found breadth-first, followed by
+    (a^t)^G = (a^G)^t for each other representative t, one vectorized
+    conjugation of the G-orbit each, skipped when a^t is already marked
+    (the bitmap holds whole G-orbits).  orbits counts G-orbits and
+    singular_seen maps, so both mean the same for every coset set.  A
+    sweep under N loses nothing, since conjugation by N preserves every
+    verdict; the module docstring gives the proof and how a failure's
+    `checked` is recounted over the G-orbits.
+    State (bitmap, cursor, counters, metadata) can be saved and resumed.
     """
 
     ENCODING_ID = "imgdigits-be-v1"
 
-    def __init__(self, group: PermutationGroup, *, rank: int | None = None):
+    def __init__(
+        self,
+        group: PermutationGroup,
+        *,
+        rank: int | None = None,
+        cosets: np.ndarray | None = None,
+    ):
         n = group.degree
         if n > MAX_SWEEP_DEGREE:
             need = n**n / 8 / 2**30
@@ -479,29 +563,54 @@ class ConjugacySweep:
         self.singular_seen = 0
         self.meta: dict = {}
         self.bitmap = Bitmap(self.total)
-        self._premark_permutations()
+        self.bitmap.set_batch(encode_rows(_permutation_rows(n)))
         self._action = _conjugation_action(group)
+        if cosets is None:
+            cosets = np.arange(n, dtype=np.int8)[None, :]
+        self.cosets = np.ascontiguousarray(cosets, dtype=np.int8)
+        # (t, t^-1) as int64 rows for every representative but the identity
+        self._twists = []
+        for t in self.cosets[1:].astype(np.int64):
+            tinv = np.empty_like(t)
+            tinv[t] = np.arange(n)
+            self._twists.append((t, tinv))
 
-    def _premark_permutations(self) -> None:
-        rows = np.array(list(permutations(range(self.degree))), dtype=np.int8)
-        self.bitmap.set_batch(encode_rows(rows))
+    def _expand(self, enc: int) -> tuple[int, int]:
+        """Mark the orbit of the unmarked map enc: (G-orbits in it, maps in it)."""
+        orbit = _conjugation_orbit(self._action, enc, self.bitmap)
+        found, size = 1, orbit.shape[0]
+        if self._twists:
+            rows = decode_encodings(orbit, self.degree)
+            for t, tinv in self._twists:
+                image = encode_rows(t[rows[:, tinv]])  # row i is (orbit[i])^t
+                if not self.bitmap.test(int(image[0])):
+                    self.bitmap.set_batch(image)
+                    found += 1
+                    size += image.shape[0]
+        return found, size
 
     def _advance(self) -> Iterator[tuple[int, int]]:
         """Expand each unseen orbit from the cursor on: (least encoding, size)."""
         data = self.bitmap.data
-        for chunk in _rank_candidates(self.degree, self.rank, self.cursor):
-            # every bit of the span is marked: no candidate in it is unseen
-            if (data[chunk[0] >> 3 : (chunk[-1] >> 3) + 1] == 0xFF).all():
-                continue
-            for enc in self.bitmap.filter_unset(chunk).tolist():
-                # an expansion can mark later members of the same chunk
-                if self.bitmap.test(enc):
-                    continue
-                size = _conjugation_orbit(self._action, enc, self.bitmap).shape[0]
-                self.cursor = enc + 1
-                self.orbits += 1
-                self.singular_seen += size
-                yield enc, size
+        walk = _rank_walk(self.degree, self.rank)
+        start: int | None = self.cursor
+        while start is not None:
+            for chunk in walk(start):
+                # every bit of the span is marked: resume at the next unset one
+                if (data[chunk[0] >> 3 : (chunk[-1] >> 3) + 1] == 0xFF).all():
+                    start = self.bitmap.next_unset(int(chunk[-1]) + 1)
+                    break
+                for enc in self.bitmap.filter_unset(chunk).tolist():
+                    # an expansion can mark later members of the same chunk
+                    if self.bitmap.test(enc):
+                        continue
+                    found, size = self._expand(enc)
+                    self.cursor = enc + 1
+                    self.orbits += found
+                    self.singular_seen += size
+                    yield enc, size
+            else:
+                start = None
         self.cursor = self.total
 
     def __iter__(self) -> Iterator[tuple[Transformation, int]]:
@@ -511,12 +620,12 @@ class ConjugacySweep:
     def run_to_end(self) -> None:
         """Expand every remaining orbit, keeping counters but no yields.
 
-        Orbit-size accounting only needs the totals; when every orbit is
-        a singleton (order-one group) this marks whole candidate chunks
-        at once instead of walking 387 million one-map orbits.
+        Orbit-size accounting only needs the totals; when every G-orbit is
+        a singleton (order-one group, one coset) this marks whole candidate
+        chunks at once instead of walking 387 million one-map orbits.
         """
-        if self.group.order() == 1:
-            for chunk in _rank_candidates(self.degree, self.rank, self.cursor):
+        if self.group.order() == 1 and not self._twists:
+            for chunk in _rank_walk(self.degree, self.rank)(self.cursor):
                 fresh = self.bitmap.filter_unset(chunk)
                 self.bitmap.set_batch(fresh)
                 self.orbits += fresh.shape[0]
@@ -541,6 +650,10 @@ class ConjugacySweep:
             "catalog_hash": catalog_hash(self.group),
             "encoding": self.ENCODING_ID,
             "rank": self.rank,
+            "cosets": {
+                "index": self.cosets.shape[0],
+                "digest": hashlib.sha256(self.cosets.tobytes()).hexdigest()[:16],
+            },
             "cursor": self.cursor,
             "orbits": self.orbits,
             "singular_seen": self.singular_seen,
@@ -563,7 +676,12 @@ class ConjugacySweep:
 
     @classmethod
     def load(
-        cls, path: str, group: PermutationGroup, *, rank: int | None = None
+        cls,
+        path: str,
+        group: PermutationGroup,
+        *,
+        rank: int | None = None,
+        cosets: np.ndarray | None = None,
     ) -> "ConjugacySweep":
         """Resume a saved sweep, refusing a foreign or inconsistent cache.
 
@@ -572,11 +690,12 @@ class ConjugacySweep:
         every representative enumerated, so a resume never skips an
         unchecked map.  A rank-filtered cache from before the walk kept
         to the filtered rank counted orbits of other ranks too, and is
-        refused by that rule.
+        refused by that rule.  The cache must also name the same coset
+        representatives: [N:G] and a digest of their rows.
         A cache whose meta["inconclusive"] lists maps comes from a run
         with a capped closure stage; those maps were never decided.
         """
-        sweep = cls(group, rank=rank)
+        sweep = cls(group, rank=rank, cosets=cosets)
         with open(path, "rb") as fh:
             header_line = fh.readline()
             raw = fh.read()
@@ -587,6 +706,13 @@ class ConjugacySweep:
                 raise SweepCacheMismatch(
                     f"cache field {key!r}: have {header.get(key)!r}, need {expected[key]!r}"
                 )
+        if header.get("cosets") != expected["cosets"]:
+            raise SweepCacheMismatch(
+                f"cache field 'cosets': have {header.get('cosets')!r}, need "
+                f"{expected['cosets']!r}; the cache was swept under other coset "
+                f"representatives or before sweeps ran under the normalizer, "
+                f"delete {path} and rerun"
+            )
         sweep.bitmap = Bitmap.frombytes(sweep.total, raw)
         sweep.cursor = header["cursor"]
         sweep.orbits = header["orbits"]
@@ -670,6 +796,20 @@ def _analytic_verdict(group: PermutationGroup, t0: float) -> NormalizingVerdict:
     )
 
 
+def _orbits_through(group: PermutationGroup, rank: int | None, enc: int) -> int:
+    """The number of G-orbits (of the rank) whose least member is at most enc.
+
+    A walk of the one-coset sweep up to enc, with no checks: the `checked`
+    a G-sweep would report had it stopped at enc.
+    """
+    count = 0
+    for least, _ in ConjugacySweep(group, rank=rank)._advance():
+        if least > enc:
+            break
+        count += 1
+    return count
+
+
 def _sweep_check(
     group: PermutationGroup,
     *,
@@ -687,10 +827,11 @@ def _sweep_check(
         # rank-1 maps are constants: a*g is the constant onto g(c), and
         # so is the conjugate a^g, so a*g is itself a generator
         return _analytic_verdict(group, t0)
+    cosets = _normalizer_cosets(group)
     if cache_path and os.path.exists(cache_path):
-        sweep = ConjugacySweep.load(cache_path, group, rank=rank)
+        sweep = ConjugacySweep.load(cache_path, group, rank=rank, cosets=cosets)
     else:
-        sweep = ConjugacySweep(group, rank=rank)
+        sweep = ConjugacySweep(group, rank=rank, cosets=cosets)
     checked = int(sweep.meta.get("checked", 0))
     last_tick = last_save = time.monotonic()
 
@@ -727,27 +868,30 @@ def _sweep_check(
         )
         check = _worker_check
         depth = 2 * workers
-    reps = (rep for rep, _ in sweep)
-    pending: deque[Future] = deque()
+    # each representative with the number of G-orbits swept up to its own
+    reps = ((rep, sweep.orbits) for rep, _ in sweep)
+    pending: deque[tuple[Future, tuple[int, ...]]] = deque()
 
     def refill() -> None:
         while len(pending) < depth:
             batch = list(islice(reps, _SWEEP_BATCH))
             if not batch:
                 return
-            pending.append(pool.submit(check, batch))
+            maps, counts = zip(*batch)
+            pending.append((pool.submit(check, list(maps)), counts))
 
     with pool:
         refill()
         while pending:
-            for v in pending.popleft().result():
-                checked += 1
+            future, counts = pending.popleft()
+            for v, checked in zip(future.result(), counts):
                 if v.status == STATUS_NOT:
-                    for f in pending:
+                    for f, _ in pending:
                         f.cancel()
                     return NormalizingVerdict(
                         v.status, group.label, map=v.map, witness=v.witness,
-                        trace=("sweep",) + v.trace, checked=checked,
+                        trace=("sweep",) + v.trace,
+                        checked=_orbits_through(group, rank, v.map.encode()),
                         seconds=time.perf_counter() - t0,
                     )
             report()

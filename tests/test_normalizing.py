@@ -633,8 +633,10 @@ def test_rank_candidates_match_brute_force(n):
     starts |= {rng.randrange(n**n) for _ in range(6)}
     for k in [None, *range(1, n)]:
         want = np.flatnonzero(ranks == k if k is not None else ranks < n)
+        # one walk, restarted at every start, reuses its tables
+        walk = normalizing._rank_walk(n, k)
         for start in sorted(starts):
-            chunks = list(normalizing._rank_candidates(n, k, start))
+            chunks = list(walk(start))
             assert all(c.size and (np.diff(c) > 0).all() for c in chunks), (k, start)
             got = np.concatenate(chunks) if chunks else np.array([], dtype=np.int64)
             assert got.tolist() == want[want >= start].tolist(), (k, start)
@@ -863,11 +865,12 @@ def test_resume_preserves_verdict(tmp_path):
     path = str(tmp_path / "resume.sweep")
     fresh = is_normalizing(group)
 
-    sweep = ConjugacySweep(group)
+    # the cache of a sweep under the normalizer, as is_normalizing runs it
+    sweep = ConjugacySweep(group, cosets=normalizing._normalizer_cosets(group))
     stream = iter(sweep)
     checker_reps = [next(stream) for _ in range(100)]
     assert len(checker_reps) == 100
-    sweep.meta.update(checked=100, inconclusive=[])
+    sweep.meta.update(checked=sweep.orbits, inconclusive=[])
     sweep.save(path)
     resumed = is_normalizing(group, cache_path=path)
     assert resumed.status == fresh.status
@@ -928,6 +931,170 @@ def test_a8_rank_2_checks_only_its_rank_2_representatives():
     v = is_k_normalizing(catalog("A8", 8), 2)
     assert v.status == STATUS_NORMALIZING
     assert v.checked == 14
+
+
+# -- sweeping under the normalizer ------------------------------------------
+
+
+def _sweep_verdicts(group, ranks, *, one_coset=False):
+    """to_dict() of the sweep at each rank (None: all ranks), under the
+    normalizer or, with one_coset, over every G-orbit."""
+    with pytest.MonkeyPatch.context() as mp:
+        if one_coset:
+            mp.setattr(
+                normalizing, "_normalizer_cosets",
+                lambda g: np.arange(g.degree, dtype=np.int8)[None, :],
+            )
+        return [
+            (is_normalizing(group) if k is None else is_k_normalizing(group, k)).to_dict()
+            for k in ranks
+        ]
+
+
+# (label, degree) -> ranks to sweep, None for all ranks at once
+_DIFFERENTIAL = {
+    (label, n): [None, *range(1, n)]
+    for n in (4, 5, 6)
+    for label in catalog_labels(n)
+    if label != "trivial"
+}
+_DIFFERENTIAL[("A7", 7)] = [None, *range(1, 7)]
+for _label, _n in (("C4", 4), ("C6", 6), ("D(2*7)", 7)):
+    _DIFFERENTIAL[(_label, _n)] = list(range(1, _n))
+# rank 6 has its own exhaustive test: the one-coset side checks 15,120
+# representatives there, about 30 s
+_DIFFERENTIAL[("C7", 7)] = [1, 2, 3, 4, 5]
+_DIFFERENTIAL[("PSL(2,7)", 8)] = [4, 5]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("label,n", sorted(_DIFFERENTIAL))
+def test_normalizer_sweep_matches_the_one_coset_sweep(label, n):
+    # conjugation by N_{S_n}(G) fixes G and so every verdict: the sweep of
+    # one map per N-orbit must report what the sweep of every G-orbit does,
+    # checked included
+    group = catalog(label, n)
+    if normalizing._normalizer_cosets(group).shape[0] == 1:
+        return  # self-normalizing: the sweep is the one-coset sweep itself
+    ranks = _DIFFERENTIAL[(label, n)]
+    assert _sweep_verdicts(group, ranks) == _sweep_verdicts(group, ranks, one_coset=True)
+
+
+@pytest.mark.exhaustive
+def test_normalizer_sweep_matches_the_one_coset_sweep_c7_rank_6():
+    group = catalog("C7", 7)
+    assert _sweep_verdicts(group, [6]) == _sweep_verdicts(group, [6], one_coset=True)
+
+
+def test_negative_normalizer_sweep_counts_g_orbits_on_resume_and_workers(tmp_path, monkeypatch):
+    # C5 has four cosets in AGL(1,5); its least failing map is preceded by
+    # 63 passing G-orbits, and `checked` must count them however the run went
+    group = catalog("C5", 5)
+    fresh = is_normalizing(group)
+    assert fresh.status == STATUS_NOT and fresh.checked == 64
+
+    # a checkpoint after every batch of four representatives
+    monkeypatch.setattr(normalizing, "_CHECKPOINT_SECONDS", 0)
+    monkeypatch.setattr(normalizing, "_SWEEP_BATCH", 4)
+    path = str(tmp_path / "c5.sweep")
+    first = is_normalizing(group, cache_path=path)
+    saved = ConjugacySweep.load(path, group, cosets=normalizing._normalizer_cosets(group))
+    # saved mid-run: it counts the G-orbits of the N-orbits swept so far
+    assert 0 < saved.meta["checked"] == saved.orbits and saved.cursor < fresh.map.encode()
+    resumed = is_normalizing(group, cache_path=path)
+    parallel = is_normalizing(group, workers=2)
+    for v in (first, resumed, parallel):
+        assert v.to_dict() == fresh.to_dict()
+
+
+@pytest.mark.parametrize(
+    "label,n,order",
+    [
+        ("PSL(2,5)", 6, 120),
+        ("PSL(2,7)", 8, 336),
+        ("A8", 8, 40320),
+        ("ASL(2,3)", 9, 432),
+        ("PSL(2,8)", 9, 1512),
+        ("AGL(1,7)", 7, 42),
+        ("PGL(2,7)", 8, 336),
+        ("PΓL(2,8)", 9, 1512),
+        ("AGL(2,3)", 9, 432),
+        ("C7", 7, 42),
+        ("S5", 5, 120),
+    ],
+)
+def test_normalizer_cosets(label, n, order):
+    group = catalog(label, n)
+    cosets = normalizing._normalizer_cosets(group)
+    assert cosets.dtype == np.int8 and cosets.shape == (order // group.order(), n)
+    assert cosets[0].tolist() == list(range(n))
+    reps = [Permutation(row.tolist()) for row in cosets]
+    for t in reps:
+        # t normalizes G: it conjugates every generator into G
+        assert all(g.conjugated_by(t) in group for g in group.generators)
+    for i, s in enumerate(reps):
+        for t in reps[i + 1 :]:
+            assert s.inverse() * t not in group  # distinct cosets
+
+
+def test_normalizer_sweep_checks_one_map_per_n_orbit(monkeypatch):
+    # PGL(2,5) normalizes PSL(2,5) with index 2: 420 checks cover the 804
+    # G-orbits, and the report still counts the 804
+    calls = []
+    check = normalizing._MapChecker.check
+
+    def spy(checker, a):
+        calls.append(a)
+        return check(checker, a)
+
+    monkeypatch.setattr(normalizing._MapChecker, "check", spy)
+    v = is_normalizing(catalog("PSL(2,5)", 6))
+    assert v.status == STATUS_NORMALIZING and v.checked == 804
+    assert len(calls) == 420
+
+
+def test_cache_without_coset_field_is_refused(tmp_path):
+    group = catalog("A4", 4)
+    cosets = normalizing._normalizer_cosets(group)
+    path = tmp_path / "a4.sweep"
+    sweep = ConjugacySweep(group, cosets=cosets)
+    next(iter(sweep))
+    sweep.meta["checked"] = sweep.orbits
+    sweep.save(str(path))
+    assert ConjugacySweep.load(str(path), group, cosets=cosets).orbits == sweep.orbits
+    # a one-coset cache is not one of the normalizer's
+    with pytest.raises(SweepCacheMismatch):
+        ConjugacySweep.load(str(path), group)
+    header, body = path.read_bytes().split(b"\n", 1)
+    h = json.loads(header)
+    del h["cosets"]
+    path.write_bytes(json.dumps(h).encode() + b"\n" + body)
+    with pytest.raises(SweepCacheMismatch) as err:
+        ConjugacySweep.load(str(path), group, cosets=cosets)
+    assert "'cosets'" in str(err.value) and "delete" in str(err.value)
+
+
+def test_all_marked_walk_skips_to_the_end(monkeypatch):
+    # a fully marked span sends the walk to Bitmap.next_unset, so a walk
+    # over a fully marked degree-8 bitmap builds one candidate chunk
+    built = []
+    walk = normalizing._rank_walk
+
+    def spy(n, rank):
+        chunks = walk(n, rank)
+
+        def counted(start):
+            for chunk in chunks(start):
+                built.append(chunk.size)
+                yield chunk
+
+        return counted
+
+    monkeypatch.setattr(normalizing, "_rank_walk", spy)
+    sweep = ConjugacySweep(catalog("A8", 8))
+    sweep.bitmap.data[:] = 0xFF
+    assert list(sweep._advance()) == [] and sweep.complete
+    assert len(built) == 1
 
 
 # -- class-level checks and fixtures ----------------------------------------
