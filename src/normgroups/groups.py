@@ -10,8 +10,9 @@ reports.
 The element matrix (one row per element, one column per point) is the
 workhorse for the vectorized callers in the normalizing machinery, and
 its sorted rows answer membership by binary search.  Orbits here are
-point orbits and orbits on point sets; conjugation orbits of maps live
-with the sweep in normalizing.py.
+point orbits and orbits on point sets; the conjugation orbit a^G of a
+map is read from the element matrix and its inverse rows, by
+normalizing._conjugate_encodings.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class PermutationGroup:
         self._matrix: np.ndarray | None = None
         self._inverse_matrix: np.ndarray | None = None
         self._sorted_rows: np.ndarray | None = None
-        self._subset_orbits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._subset_orbits: np.ndarray | None = None
         self._restrictions: dict[int, np.ndarray | None] = {}
 
     # -- element enumeration -------------------------------------------------
@@ -143,13 +144,12 @@ class PermutationGroup:
                     members.append(y)
         return tuple(members)
 
-    def subset_orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def subset_orbits(self) -> np.ndarray:
         """The orbits on point sets, each set given by its bitmask.
 
-        Returns (label, parent, via), one entry per mask m of the 2**degree:
-        label[m] is the least mask of m's orbit, the root of a Schreier
-        tree over the orbit, in which generator via[m] maps the set
-        parent[m] onto m (both -1 at a root).  Built on first use.
+        One label per mask m of the 2**degree: the least mask of m's
+        orbit.  Built on first use, by a walk over the generators from
+        each unlabeled mask in ascending order.
         """
         if self._subset_orbits is None:
             size = 1 << self.degree
@@ -160,20 +160,20 @@ class PermutationGroup:
                 for p, q in enumerate(g.images):
                     moved |= ((masks >> p) & 1) << q
                 acts.append(moved.tolist())
-            label, parent, via = [-1] * size, [-1] * size, [-1] * size
+            label = [-1] * size
             # roots ascend, so each root is the least mask of its orbit
             for root in range(size):
                 if label[root] >= 0:
                     continue
                 label[root] = root
-                tree = [root]
-                for m in tree:  # the list grows as the walk reaches new sets
-                    for gi, act in enumerate(acts):
+                orbit = [root]
+                for m in orbit:  # the list grows as the walk reaches new sets
+                    for act in acts:
                         y = act[m]
                         if label[y] < 0:
-                            label[y], parent[y], via[y] = root, m, gi
-                            tree.append(y)
-            self._subset_orbits = (np.array(label), np.array(parent), np.array(via))
+                            label[y] = root
+                            orbit.append(y)
+            self._subset_orbits = np.array(label)
         return self._subset_orbits
 
     def distinct_restrictions(self, mask: int) -> np.ndarray | None:
@@ -199,31 +199,6 @@ class PermutationGroup:
                 firsts = np.unique(keys, return_index=True)[1]
                 self._restrictions[mask] = np.sort(firsts).astype(np.int32)
         return self._restrictions[mask]
-
-    def subset_transporter(self, src: int, dst: int) -> Permutation | None:
-        """Some element mapping the point set src onto dst (bitmasks), if any.
-
-        Read from the Schreier trees of subset_orbits: the words from the
-        orbit's root to src and to dst give h = (word to src)^-1 (word to dst).
-        """
-        label, parent, via = self.subset_orbits()
-        if label[src] != label[dst]:
-            return None
-        gens = [np.array(g.images) for g in self.generators]
-
-        def from_root(m: int) -> np.ndarray:
-            path = []
-            while parent[m] >= 0:
-                path.append(int(via[m]))
-                m = int(parent[m])
-            perm = np.arange(self.degree)
-            for gi in reversed(path):
-                perm = gens[gi][perm]
-            return perm
-
-        h = np.empty(self.degree, dtype=np.int64)
-        h[from_root(src)] = from_root(dst)
-        return Permutation(h.tolist())
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree

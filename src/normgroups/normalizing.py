@@ -9,6 +9,11 @@ visiting only the maps of the requested rank (every rank below n for a
 full sweep), and drives the per-degree classification of normalizing
 groups.
 
+Every conjugation orbit a^G here, the conjugates a check tests against,
+an orbit a sweep crosses off and a G-orbit inside an S_n-class, comes
+from _conjugate_encodings: a conjugated by every row of the element
+matrix, sorted and deduplicated, least member first.
+
 Each map is checked on its distinct products only: a*g depends only on g
 on I = image(a), so aG has |G : G_(I)| members, G_(I) the pointwise
 stabilizer of I.  The least g giving each is read from a per-group table
@@ -63,6 +68,8 @@ least failing map e*, the map a G-sweep stops at, and the checker names
 the same least g.  Its `checked` is recounted as the number of G-orbits
 whose least member is at most e*, by an enumeration-only walk of the
 G-orbits up to e*, so neither a resume nor the worker count can move it.
+Progress reports and checkpoints are not recounted: they count the
+G-orbits of every N-orbit swept so far (see SweepProgress).
 """
 
 from __future__ import annotations
@@ -75,7 +82,7 @@ import tempfile
 import time
 from collections import deque
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice, permutations
 from math import comb, factorial
 from typing import Callable, Iterator, Sequence
@@ -87,6 +94,7 @@ from .catalog import catalog, catalog_hash, catalog_labels
 from .groups import PermutationGroup
 from .semigroups import (
     TransSemigroup,  # not called here; perfbench/tracer.py wraps this name
+    _popcounts,
     certificate_from_matrix,
     decode_encodings,
     encode_rows,
@@ -198,6 +206,16 @@ class NormalizingVerdict:
 
 @dataclass(frozen=True)
 class SweepProgress:
+    """A progress report of a running sweep.
+
+    checked (shown as `reps`) and orbits count the G-orbits swept so far,
+    singular_seen the maps in them.  The sweep walks N-orbits, N the
+    normalizer of G, so on a sweep that ends not-normalizing these count
+    the G-orbits of every N-orbit swept so far, as does a checkpoint's
+    meta["checked"]; some of those lie past the failing map, so the counts
+    can exceed the verdict's `checked` (on C5, 187 against 64).
+    """
+
     group: str
     checked: int
     orbits: int
@@ -228,14 +246,19 @@ def _section_target(group: PermutationGroup, a: Transformation) -> int:
     Some h in G maps image(a) onto a section exactly when a section shares
     the orbit label of image(a); there are at most prod |class| sections.
     """
-    label = group.subset_orbits()[0]
+    label = group.subset_orbits()
     sections = _section_masks(a)
     hits = np.flatnonzero(label[sections] == label[_image_mask(a)])
     return int(sections[hits[0]]) if hits.size else -1
 
 
 def _conjugate_encodings(M: np.ndarray, Minv: np.ndarray, a: Transformation) -> np.ndarray:
-    """Sorted distinct encodings of a^g for the element rows M (inverse rows Minv)."""
+    """Sorted distinct encodings of a^g for the element rows M (inverse rows Minv).
+
+    With the rows of a group this is the orbit a^G, least member first:
+    the one routine that builds a conjugation orbit of maps, for the
+    checker, the sweep and the class sweep alike.
+    """
     a8 = np.array(a.images, dtype=np.int8)
     return np.unique(encode_rows(np.take_along_axis(M, a8[Minv], axis=1)))
 
@@ -343,17 +366,23 @@ class _MapChecker:
 
 
 def exists_section_mapper(group: PermutationGroup, a: Transformation) -> Permutation | None:
-    """Some h in G taking image(a) onto a section of ker(a), or None.
+    """The first h of G taking image(a) onto a section of ker(a), or None.
 
-    Which h comes back is not specified: it is read from the Schreier
-    trees of the group's orbits on point sets.  When this returns None,
-    every product of two or more G-conjugates of a has rank below
-    rank(a), so the rank-preserving members of <a^G> are exactly the
-    single conjugates.
+    First in group.elements() order.  Whether one exists is read from the
+    group's orbits on point sets, so the elements are scanned only when it
+    does.  When this returns None, every product of two or more
+    G-conjugates of a has rank below rank(a), so the rank-preserving
+    members of <a^G> are exactly the single conjugates.
     """
     _require_singular(group, a)
-    target = _section_target(group, a)
-    return group.subset_transporter(_image_mask(a), target) if target >= 0 else None
+    if _section_target(group, a) < 0:
+        return None
+    # h(image) is a section exactly when it meets every kernel class
+    classes = np.array(a.kernel().class_ids, dtype=np.int64)
+    hit = np.bitwise_or.reduce(
+        np.int64(1) << classes[group.element_matrix()[:, list(a.image())]], axis=1
+    )
+    return group.elements()[int(np.argmax(hit == (1 << a.rank) - 1))]
 
 
 def is_a_normalizing(group: PermutationGroup, a: Transformation) -> NormalizingVerdict:
@@ -367,39 +396,6 @@ def check_pair(group: PermutationGroup, a: Transformation, g: Permutation) -> No
 
 
 # -- conjugation-orbit enumeration ---------------------------------------------
-
-
-def _conjugation_action(group: PermutationGroup) -> tuple[np.ndarray, np.ndarray]:
-    """The generators and their inverses as int64 image rows (identity if none)."""
-    gens = group.generators or (Permutation.identity(group.degree),)
-    return (
-        np.array([g.images for g in gens], dtype=np.int64),
-        np.array([g.inverse().images for g in gens], dtype=np.int64),
-    )
-
-
-def _conjugation_orbit(
-    action: tuple[np.ndarray, np.ndarray], enc: int, seen: Bitmap
-) -> np.ndarray:
-    """Mark the conjugation orbit of the unmarked map enc in seen.
-
-    Breadth-first, one vectorized step per layer.  Returns the encodings
-    it marked, enc first; that is the whole orbit whenever seen holds
-    only whole orbits, as in the sweep and the class check.
-    """
-    gen, ginv = action
-    seen.set(enc)
-    fresh = np.array([enc], dtype=np.int64)
-    found = [fresh]
-    while True:
-        F = decode_encodings(fresh, gen.shape[1]).astype(np.int64)
-        cand = np.concatenate([g[F[:, gi]] for g, gi in zip(gen, ginv)])
-        encs = np.unique(encode_rows(cand))
-        fresh = encs[~seen.test_batch(encs)]
-        if not fresh.size:
-            return np.concatenate(found)
-        seen.set_batch(fresh)
-        found.append(fresh)
 
 
 def _maps_of_rank(n: int, k: int) -> int:
@@ -434,7 +430,7 @@ def _rank_walk(n: int, rank: int | None) -> Callable[[int], Iterator[np.ndarray]
     """
     low = n // 2
     scale = n**low
-    ranks = np.array([bin(m).count("1") for m in range(1 << n)])
+    ranks = _popcounts(n)
     wanted = ranks == rank if rank is not None else ranks < n
     suffix_masks = _digit_masks(n, low)
     prefix_masks = _digit_masks(n, n - low).tolist()
@@ -467,7 +463,8 @@ def _rank_walk(n: int, rank: int | None) -> Callable[[int], Iterator[np.ndarray]
 @functools.lru_cache(maxsize=1)
 def _permutation_rows(n: int) -> np.ndarray:
     """Every permutation of n points as an int8 row, in ascending encoding
-    order (read-only; shared by the sweep's premarking and the normalizer)."""
+    order (read-only; shared by the sweep's premarking, the normalizer and
+    the class sweep)."""
     rows = np.array(list(permutations(range(n))), dtype=np.int8)
     rows.setflags(write=False)
     return rows
@@ -479,9 +476,11 @@ def _normalizer_cosets(group: PermutationGroup) -> np.ndarray:
     Int8 rows in ascending order, so the identity comes first; |N|/|G| of
     them.  Brute force over the n! permutation rows: a row p survives a
     generator s when p^-1 s p lies in G, and the survivors of every
-    generator are N.  Each new coset is then crossed off by one pass over
-    G and one over N, so the cost is n! conjugations per generator plus
-    [N:G] such passes.
+    generator are N.  The least uncovered row is then sought in windows of
+    |G| rows from the last representative on, and its coset crossed off by
+    one pass over G: each window either holds the next representative or
+    is skipped for good, so past the n! conjugations per generator the
+    cost is linear in |N| + [N:G]|G|, with one step per coset or window.
     """
     n = group.degree
     M = group.element_matrix()
@@ -497,12 +496,15 @@ def _normalizer_cosets(group: PermutationGroup) -> np.ndarray:
     encs = encode_rows(rows)
     covered = np.zeros(rows.shape[0], dtype=bool)
     reps = []
-    i = 0
+    i, order = 0, M.shape[0]
     while i < rows.shape[0]:
+        free = np.flatnonzero(~covered[i : i + order])
+        if not free.size:
+            i += order
+            continue
+        i += int(free[0])
         reps.append(rows[i])
         covered[np.searchsorted(encs, encode_rows(M[:, rows[i].astype(np.intp)]))] = True
-        rest = np.flatnonzero(~covered[i:])
-        i += int(rest[0]) if rest.size else rows.shape[0]
     return np.array(reps)
 
 
@@ -522,7 +524,8 @@ class ConjugacySweep:
     The orbits are those of the group generated by G and cosets, a set of
     coset representatives of G in a group H with G <= H <= N_{S_n}(G);
     the default, the identity alone, gives the G-orbits.  An H-orbit is
-    the G-orbit of its least member a, found breadth-first, followed by
+    the G-orbit of its least member a, read from the element matrix by
+    _conjugate_encodings and marked by one set_batch, followed by
     (a^t)^G = (a^G)^t for each other representative t, one vectorized
     conjugation of the G-orbit each, skipped when a^t is already marked
     (the bitmap holds whole G-orbits).  orbits counts G-orbits and
@@ -564,7 +567,7 @@ class ConjugacySweep:
         self.meta: dict = {}
         self.bitmap = Bitmap(self.total)
         self.bitmap.set_batch(encode_rows(_permutation_rows(n)))
-        self._action = _conjugation_action(group)
+        self._matrices = (group.element_matrix(), group.inverse_matrix())
         if cosets is None:
             cosets = np.arange(n, dtype=np.int8)[None, :]
         self.cosets = np.ascontiguousarray(cosets, dtype=np.int8)
@@ -577,7 +580,8 @@ class ConjugacySweep:
 
     def _expand(self, enc: int) -> tuple[int, int]:
         """Mark the orbit of the unmarked map enc: (G-orbits in it, maps in it)."""
-        orbit = _conjugation_orbit(self._action, enc, self.bitmap)
+        orbit = _conjugate_encodings(*self._matrices, Transformation.decode(self.degree, enc))
+        self.bitmap.set_batch(orbit)
         found, size = 1, orbit.shape[0]
         if self._twists:
             rows = decode_encodings(orbit, self.degree)
@@ -888,9 +892,8 @@ def _sweep_check(
                 if v.status == STATUS_NOT:
                     for f, _ in pending:
                         f.cancel()
-                    return NormalizingVerdict(
-                        v.status, group.label, map=v.map, witness=v.witness,
-                        trace=("sweep",) + v.trace,
+                    return replace(
+                        v, trace=("sweep",) + v.trace,
                         checked=_orbits_through(group, rank, v.map.encode()),
                         seconds=time.perf_counter() - t0,
                     )
@@ -951,34 +954,34 @@ def is_class_normalizing(group: PermutationGroup, a: Transformation) -> Normaliz
     The verdict depends only on the S_n-class of a, never on how the
     catalog happens to label points: relabeling both G and a together
     preserves every verdict, so checking one G against the whole class
-    of a covers all labelings of G against the map itself.
+    of a covers all labelings of G against the map itself.  The class is
+    a^{S_n}, read from the n! permutation rows; walking it in ascending
+    order, each member no earlier orbit covered is the least of its
+    G-orbit, which is crossed off in a flag array over the class.
     """
     t0 = time.perf_counter()
     _require_singular(group, a)
     n = group.degree
     if n > MAX_SWEEP_DEGREE:
         raise ValueError(f"class sweeps stop at degree {MAX_SWEEP_DEGREE}")
-    sym = catalog(f"S{n}", n)
-    class_encs = np.sort(
-        _conjugation_orbit(_conjugation_action(sym), a.encode(), Bitmap(n**n))
-    )
-    # the least member of each G-orbit inside the class
-    action = _conjugation_action(group)
-    seen = Bitmap(n**n)
+    sym = _permutation_rows(n)
+    class_encs = _conjugate_encodings(sym, np.argsort(sym, axis=1), a)
+    M, Minv = group.element_matrix(), group.inverse_matrix()
+    covered = np.zeros(class_encs.shape[0], dtype=bool)
     reps: list[Transformation] = []
-    for enc in class_encs.tolist():
-        if not seen.test(enc):
-            _conjugation_orbit(action, enc, seen)
-            reps.append(Transformation.decode(n, enc))
+    for i, enc in enumerate(class_encs.tolist()):
+        if not covered[i]:
+            rep = Transformation.decode(n, enc)
+            covered[np.searchsorted(class_encs, _conjugate_encodings(M, Minv, rep))] = True
+            reps.append(rep)
     checker = _MapChecker(group)
     # mapper-free representatives decide via the exact shortcut; try them first
     reps.sort(key=lambda r: (_section_target(group, r) >= 0, r.encode()))
     for idx, rep in enumerate(reps):
         v = checker.check(rep)
         if v.status == STATUS_NOT:
-            return NormalizingVerdict(
-                STATUS_NOT, group.label, map=rep, witness=v.witness,
-                trace=("class-sweep",) + v.trace, checked=idx + 1,
+            return replace(
+                v, trace=("class-sweep",) + v.trace, checked=idx + 1,
                 seconds=time.perf_counter() - t0,
             )
     return NormalizingVerdict(
@@ -1233,30 +1236,15 @@ def classify(
     verdicts: list[NormalizingVerdict] = []
     for label in catalog_labels(n):
         group = catalog(label, n)
-        if group.order() == 1:
-            verdicts.append(_analytic_verdict(group, time.perf_counter()))
-            continue
-        if n == 12:
+        if label == "M12":
             v = m12_witness_check()
-            verdicts.append(
-                NormalizingVerdict(
-                    v.status, v.group, map=v.map, witness=v.witness,
-                    trace=("fixture",) + v.trace, checked=v.checked,
-                    seconds=v.seconds,
-                )
-            )
+            verdicts.append(replace(v, trace=("fixture",) + v.trace))
             continue
         fixture = KNOWN_FAILING_MAPS.get((n, label))
         if fixture is not None:
             v = is_class_normalizing(group, Transformation.from_one_based(fixture))
             if v.status == STATUS_NOT:
-                verdicts.append(
-                    NormalizingVerdict(
-                        v.status, v.group, map=v.map, witness=v.witness,
-                        trace=("fixture",) + v.trace, checked=v.checked,
-                        seconds=v.seconds,
-                    )
-                )
+                verdicts.append(replace(v, trace=("fixture",) + v.trace))
                 continue
         cache_path = None
         if cache_dir:

@@ -10,7 +10,7 @@ import json
 import os
 import random
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normgroups import normalizing
+from normgroups.bitset import Bitmap
 from normgroups.catalog import catalog, catalog_labels
 from normgroups.groups import PermutationGroup
 from normgroups.normalizing import (
@@ -486,11 +487,13 @@ def test_exists_section_mapper_matches_brute_force():
             if not a.is_permutation():
                 maps.append(a)
         for a in maps:
-            exists = bool(_section_mapper_rows(group, a).any())
+            rows = _section_mapper_rows(group, a)
+            exists = bool(rows.any())
             got = exists_section_mapper(group, a)
             assert (got is not None) == exists, (label, a.one_based())
             if got is not None:
-                assert got in group
+                # the least mapper, in element order
+                assert got == group.elements()[int(np.flatnonzero(rows)[0])]
                 assert is_section([got.images[p] for p in a.image()], a.kernel())
             outcomes.add(exists)
     group = catalog("M12", 12)
@@ -504,21 +507,18 @@ def test_exists_section_mapper_matches_brute_force():
 @pytest.mark.parametrize("label", ["A7", "AGL(1,7)", "C7"])
 def test_subset_orbit_labels_match_brute_force(label):
     # two point sets share a label exactly when some element maps one onto
-    # the other, and the transporter is such an element; so a section of
-    # ker(a) shares the label of image(a) exactly when a section mapper exists
+    # the other; so a section of ker(a) shares the label of image(a)
+    # exactly when a section mapper exists
     if label == "C7":
         group = PermutationGroup([Permutation.parse("(1 2 3 4 5 6 7)", 7)], label="C7")
     else:
         group = catalog(label, 7)
-    labels = group.subset_orbits()[0]
+    labels = group.subset_orbits()
     M = group.element_matrix().astype(np.int64)
     for mask in range(1 << 7):
         pts = [p for p in range(7) if mask >> p & 1]
         reached = np.unique((np.int64(1) << M[:, pts]).sum(axis=1))
         assert np.array_equal(reached, np.flatnonzero(labels == labels[mask]))
-        for dst in reached[:: max(1, reached.size // 3)].tolist():
-            h = group.subset_transporter(mask, dst)
-            assert h in group and sum(1 << h.images[p] for p in pts) == dst
     # every kernel, and one image set per orbit on r-sets: whether a mapper
     # exists depends on the image only through its orbit
     outcomes = set()
@@ -1021,20 +1021,28 @@ def test_negative_normalizer_sweep_counts_g_orbits_on_resume_and_workers(tmp_pat
         ("AGL(2,3)", 9, 432),
         ("C7", 7, 42),
         ("S5", 5, 120),
+        ("trivial", 6, 720),
+        ("trivial", 7, 5040),
+        ("C2", 7, 240),
     ],
 )
 def test_normalizer_cosets(label, n, order):
-    group = catalog(label, n)
+    if label == "C2":
+        group = PermutationGroup([Permutation.parse("(1 2)", n)], label="C2")
+    else:
+        group = catalog(label, n)
     cosets = normalizing._normalizer_cosets(group)
     assert cosets.dtype == np.int8 and cosets.shape == (order // group.order(), n)
     assert cosets[0].tolist() == list(range(n))
-    reps = [Permutation(row.tolist()) for row in cosets]
-    for t in reps:
+    assert (np.diff(encode_rows(cosets)) > 0).all()  # ascending
+    for row in cosets:
         # t normalizes G: it conjugates every generator into G
+        t = Permutation(row.tolist())
         assert all(g.conjugated_by(t) in group for g in group.generators)
-    for i, s in enumerate(reps):
-        for t in reps[i + 1 :]:
-            assert s.inverse() * t not in group  # distinct cosets
+    # distinct cosets: the sets G t of the representatives t are disjoint
+    M = group.element_matrix()
+    members = np.concatenate([encode_rows(M[:, row.astype(np.intp)]) for row in cosets])
+    assert np.unique(members).size == members.size == order
 
 
 def test_normalizer_sweep_checks_one_map_per_n_orbit(monkeypatch):
@@ -1146,6 +1154,86 @@ def test_known_failing_maps_large_degrees(n, label):
     a = Transformation.from_one_based(KNOWN_FAILING_MAPS[(n, label)])
     v = is_class_normalizing(group, a)
     assert v.status == STATUS_NOT
+
+
+def _class_sweep_reference(group, a):
+    """is_class_normalizing by brute force: a's class under all of S_n, split
+    into G-orbits, least members ordered by (mapper exists, encoding)."""
+    n = group.degree
+    klass = sorted(
+        {a.conjugated_by(Permutation(p)) for p in permutations(range(n))},
+        key=Transformation.encode,
+    )
+    seen, reps = set(), []
+    for b in klass:
+        if b not in seen:
+            seen |= conjugate_set(group, b)
+            reps.append(b)
+    reps.sort(key=lambda r: (bool(_section_mapper_rows(group, r).any()), r.encode()))
+    for idx, rep in enumerate(reps, start=1):
+        v = is_a_normalizing(group, rep)
+        if v.status == STATUS_NOT:
+            return {
+                "status": STATUS_NOT, "group": group.label, "map": list(rep.one_based()),
+                "witness": v.witness.to_dict(), "trace": ["class-sweep", *v.trace],
+                "checked": idx,
+            }
+    return {
+        "status": STATUS_NORMALIZING, "group": group.label, "map": list(a.one_based()),
+        "witness": None, "trace": ["class-sweep"], "checked": len(reps),
+    }
+
+
+def _class_sweep_cases():
+    cases = [
+        (catalog(label, n), images)
+        for (n, label), images in sorted(KNOWN_FAILING_MAPS.items())
+        if n <= 7
+    ]
+    groups = [
+        catalog(label, n)
+        for label, n in [("C5", 5), ("D(2*5)", 5), ("AGL(1,5)", 5), ("PSL(2,5)", 6), ("A4", 4)]
+    ]
+    groups.append(PermutationGroup([Permutation.parse("(1 2 3 4 5 6)", 6)], label="C6"))
+    rng = random.Random(41)
+    for group in groups:
+        n = group.degree
+        for k in range(1, n):
+            # a map of rank k: k distinct image points, the other n - k drawn from them
+            pts = rng.sample(range(n), k)
+            images = pts + [rng.choice(pts) for _ in range(n - k)]
+            rng.shuffle(images)
+            cases.append((group, tuple(p + 1 for p in images)))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "group,images", _class_sweep_cases(), ids=lambda x: getattr(x, "label", None)
+)
+def test_class_sweep_matches_brute_force(group, images):
+    a = Transformation.from_one_based(images)
+    assert is_class_normalizing(group, a).to_dict() == _class_sweep_reference(group, a)
+
+
+def test_class_sweep_builds_no_bitmap_and_no_symmetric_group(monkeypatch):
+    built, labels = [], []
+    init = Bitmap.__init__
+    build = normalizing.catalog
+
+    def spy_init(bitmap, *args, **kwargs):
+        built.append(args)
+        init(bitmap, *args, **kwargs)
+
+    def spy_catalog(label, degree):
+        labels.append(label)
+        return build(label, degree)
+
+    monkeypatch.setattr(Bitmap, "__init__", spy_init)
+    monkeypatch.setattr(normalizing, "catalog", spy_catalog)
+    group = catalog("AGL(1,8)", 8)
+    a = Transformation.from_one_based(KNOWN_FAILING_MAPS[(8, "AGL(1,8)")])
+    assert is_class_normalizing(group, a).status == STATUS_NOT
+    assert built == [] and labels == []
 
 
 def test_m12_witness_is_reproduced_verbatim():
