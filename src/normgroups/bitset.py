@@ -49,13 +49,6 @@ class Bitmap:
     def test(self, i: int) -> bool:
         return bool(self.data[i >> 3] & (1 << (i & 7)))
 
-    def set(self, i: int) -> bool:
-        """Set bit i; True iff it was previously unset."""
-        byte, bit = i >> 3, 1 << (i & 7)
-        was = self.data[byte] & bit
-        self.data[byte] |= bit
-        return not was
-
     def test_batch(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
         return (self.data[idx >> 3] & (np.uint8(1) << (idx & 7).astype(np.uint8))) != 0

@@ -1,52 +1,60 @@
-"""Transformation semigroups: closure, membership, and R-class tests.
+"""Transformation semigroups: R-class certificates, exact membership, closure.
 
-A semigroup is grown from its generators by breadth-first closure,
-taking both left and right products each round so mixed factorizations
-are found at their true word length.  Elements are deduplicated through
-their integer encodings: a packed bitmap over all n**n encodings for
-degree <= 9, a sorted encoding array beyond that.  Enumeration stops at
-a configurable element cap; a capped semigroup still answers positive
-membership for anything already seen but refuses to certify absence.
+The decision engine asks one question of a semigroup <T> generated by
+maps of one rank r: which products a*g lie in it.  Two tools answer.
 
-For membership of maps that share a kernel with a known element a,
-full closure is usually overkill.  r_class_certificate builds the data
-needed to test membership in the R-class of a directly: the strong
-orbit of image(a) under right multiplication by the generators (the
-sets reachable from image(a) that can also reach back), one word into
-and one word back per orbit member, and the induced stabilizer group,
-generated by the permutations that "enter at B, step along an edge,
-and return" induce on image(a).  in_r_class then needs only a kernel
-comparison, a strong-orbit lookup, and one group membership test.
+certificate_from_matrix (and r_class_certificate) builds what is needed
+to test membership in the R-class of a directly: the strong orbit of
+image(a) under right multiplication by the generators (the sets
+reachable from image(a) that can also reach back), one word into and
+one word back per orbit member, and the induced stabilizer group,
+generated by the permutations that "enter at a node, step along an
+edge, and return" induce on image(a).  contains_products then needs
+only a strong-orbit lookup and one sorted-table search per product.
 
-The orbit is searched breadth first over whole batches of image sets,
-each keyed by its bitmask in a table of 2**n entries, with the numbering
-and the words a one-set-at-a-time search would give.
+The build works a whole BFS level at a time, so its array work grows
+with the depth of the search (two to four levels on the benchmark's
+maps), not with the strong orbit's size:
+
+- the forward search takes every node of a level at once, each keyed
+  by its bitmask in a table of 2**n entries, and numbers the nodes as a
+  one-set-at-a-time search would;
+- the backward search gathers every edge into a level at once;
+- the transforms into and back from each node are carried along the
+  two BFS trees with one gather per level;
+- the words, the strong orbit as tuples and the kept generators are
+  read from the trees only when asked for.
 
 The induced group is built one candidate permutation at a time: a
 candidate already in the group is skipped (binary search of the sorted
-encodings), any other becomes a generator and the group is extended
-from its current elements.  Each kept generator at least doubles the
-group, so a certificate stores at most log2 |H| of them and the work
-grows with |H| times that, never with |H|**2.
+encodings), any other becomes a generator, and the group is extended
+coset by coset (Dimino's algorithm), one gather per new coset.  Each
+kept generator at least doubles the group, so a certificate stores at
+most log2 |H| of them, and its memory grows linearly with |H|.
 
 kernel_members decides full membership, not just the R-class, for maps
 of the anchor's kernel and rank in a semigroup generated by maps of that
 rank, with no cap: a search over the orbit of the injective tuples such
-a map takes on a transversal of the kernel.  TransSemigroup stays as the
-exact oracle the tests compare it with.
-"""
+a map takes on a transversal of the kernel.
 
+TransSemigroup is the exact oracle the tests compare both with: a
+breadth-first closure taking left and right products each round,
+deduplicated through the integer encodings (a packed bitmap over all
+n**n encodings for degree <= 9, a sorted encoding array beyond that).
+It stops at a configurable element cap; a capped semigroup still
+answers positive membership for anything already seen but refuses to
+certify absence.
+"""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from math import comb, factorial
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .bitset import Bitmap
-from .transform import KernelPartition, Transformation
+from .transform import Transformation
 
 DEFAULT_CAP = 50_000_000
 
@@ -342,30 +350,164 @@ class TransSemigroup:
 # R-class certificates
 
 
-@dataclass
 class RClassCertificate:
     """Everything needed to test membership in the R-class of anchor.
+
+    Building it runs the whole search but keeps arrays only: the strong
+    orbit node of every image mask, the transform back to image(anchor)
+    from every node, and the sorted encodings of the induced group.
+    strong_orbit, the words and induced_generators are read from these
+    and the two search trees on first use, since membership tests need
+    none of them.
 
     induced_generators holds only the candidates that enlarged the
     induced group when they were found, in the order found: each lies
     outside the group generated by the ones before it.
     """
 
-    anchor: Transformation
-    strong_orbit: tuple[tuple[int, ...], ...]
-    words_in: tuple[tuple[int, ...], ...]
-    words_back: tuple[tuple[int, ...], ...]
-    induced_generators: tuple[tuple[int, ...], ...]
-    _node_of: np.ndarray = field(repr=False)
-    _t_back: np.ndarray = field(repr=False)
-    _pos_of: np.ndarray = field(repr=False)
-    _group_encs: np.ndarray = field(repr=False)
-    _anchor_kernel: KernelPartition = field(repr=False)
-    _fiber_reps: np.ndarray = field(repr=False)
+    def __init__(self, gen_matrix: np.ndarray, anchor: Transformation):
+        Gm = gen_matrix
+        m, n = Gm.shape
+        a = np.array(anchor.images, dtype=np.int8)
+        self.anchor = anchor
+        # image(a) sorted, and the least preimage of each of its points
+        img, self._fiber_reps = np.unique(a, return_index=True)
+        r = self.rank = img.shape[0]
+        pos_of = self._pos_of = np.full(n, -1, dtype=np.int8)
+        pos_of[img] = np.arange(r, dtype=np.int8)
+        # GmT[p, k] = Gm[k][p], and bits[p, k] is its bit: the OR of bits[S]
+        # along the first axis is the image mask of S under every generator
+        GmT = np.ascontiguousarray(Gm.T)
+        bits = np.left_shift(1, GmT, dtype=np.int64)
+        step = max(1, _CANDIDATE_ROW_BUDGET // (m * r))
 
-    @property
-    def rank(self) -> int:
-        return len(self.strong_orbit[0])
+        # forward orbit of image(a) under the generators, as a queue taken
+        # a batch of nodes at a time: a batch's new nodes are numbered in
+        # (parent, mask) order, as one node at a time would number them, and
+        # each edge keeps the least generator index that realises it.
+        # t_in[v] is the product along the tree word into v, carried down
+        # the tree one batch at a time, and t_in[v][img] lists v's points
+        size = comb(n, r)
+        t_in = np.empty((size, n), dtype=np.int8)
+        t_in[0] = np.arange(n)
+        node_mask = np.empty(size, dtype=np.int64)
+        node_mask[0] = _mask(img)
+        node_of = np.full(1 << n, -1, dtype=np.int64)  # node id by image mask
+        node_of[node_mask[0]] = 0
+        tree_u, tree_k = [np.full(1, -1)], [np.full(1, -1)]
+        edge_u: list[np.ndarray] = []
+        edge_v: list[np.ndarray] = []
+        edge_k: list[np.ndarray] = []
+        count, head = 1, 0
+        popcounts = _popcounts(n)
+        while head < count:
+            batch = np.arange(head, min(count, head + step))
+            head = int(batch[-1]) + 1
+            masks = np.bitwise_or.reduce(bits[t_in[batch][:, img]], axis=1)
+            b, k = np.nonzero(popcounts[masks] == r)
+            # k ascends within each parent: the first of each (parent, mask) has least k
+            _, first = np.unique(batch[b] << n | masks[b, k], return_index=True)
+            b, k = b[first], k[first]
+            u, masks = batch[b], masks[b, k]
+            fresh = np.flatnonzero(node_of[masks] < 0)
+            _, once = np.unique(masks[fresh], return_index=True)
+            fresh = fresh[np.sort(once)]
+            new = np.arange(count, count + fresh.shape[0])
+            node_of[masks[fresh]] = new
+            node_mask[new] = masks[fresh]
+            t_in[new] = Gm[k[fresh][:, None], t_in[u[fresh]]]
+            count += fresh.shape[0]
+            tree_u.append(u[fresh])
+            tree_k.append(k[fresh])
+            edge_u.append(u)
+            edge_v.append(node_of[masks])
+            edge_k.append(k)
+        eu, ev, ek = (np.concatenate(e) for e in (edge_u, edge_v, edge_k))
+
+        # strong component of the base: forward-reachable nodes that reach
+        # back, by a backward BFS that gathers every edge into a level at
+        # once, edges into one node in the order they were found.  t_back[v]
+        # is the product along the word back from v, carried up one level
+        # at a time: the edge v -> w by generator k gives t_back[w] after k
+        by_v = np.argsort(ev, kind="stable")
+        starts = np.searchsorted(ev[by_v], np.arange(count + 1))
+        in_scc = np.zeros(count, dtype=bool)
+        in_scc[0] = True
+        back_v = np.full(count, -1, dtype=np.int64)
+        back_k = np.full(count, -1, dtype=np.int64)
+        t_back = np.empty((count, n), dtype=np.int8)
+        t_back[0] = np.arange(n)
+        level = np.zeros(1, dtype=np.int64)
+        while level.shape[0]:
+            lo, sizes = starts[level], starts[level + 1] - starts[level]
+            ends = np.cumsum(sizes)
+            into = by_v[np.arange(ends[-1]) + np.repeat(lo - ends + sizes, sizes)]
+            into = into[~in_scc[eu[into]]]
+            _, once = np.unique(eu[into], return_index=True)
+            into = into[np.sort(once)]
+            level = eu[into]
+            in_scc[level] = True
+            back_v[level], back_k[level] = ev[into], ek[into]
+            t_back[level] = t_back[ev[into][:, None], Gm[ek[into]]]
+        scc = np.flatnonzero(in_scc)
+        # from here on node_of numbers the strong orbit alone
+        node_of[node_mask[:count]] = np.where(in_scc, np.cumsum(in_scc) - 1, -1)
+        t_back = self._t_back = t_back[scc]
+        points = self._points = t_in[scc][:, img]
+        self._node_of = node_of
+        self._trees = (scc, np.concatenate(tree_u), np.concatenate(tree_k), back_v, back_k)
+
+        # induced stabilizer group: the candidates "enter at a node, step
+        # by a generator, return", a chunk of nodes at a time and in (node,
+        # encoding) order, as one node at a time would take them.  A
+        # candidate joins the generators only when it lies outside the
+        # group built so far, which at least doubles the group, so at most
+        # log2 |H| generators are kept; stop at Sym(r).  The base goes
+        # alone first, since the group is most often complete there
+        full = factorial(r)
+        group_rows = np.arange(r, dtype=np.int8)[None, :]
+        group_encs = encode_rows_base(group_rows, r)
+        absent = r**r  # above every encoding
+        pw = r ** np.arange(r - 1, -1, -1, dtype=np.int64)[:, None]
+        self._gens: list[np.ndarray] = []
+        lo, hi = 0, 1
+        while lo < scc.shape[0] and group_encs.shape[0] < full:
+            pts = points[lo:hi]
+            # an image that collapses has fewer than r points and no node:
+            # its code is junk and is masked out
+            known = node_of[np.bitwise_or.reduce(bits[pts], axis=1)]
+            codes = pos_of[t_back[known[:, None, :], GmT[pts]]].astype(np.int64)
+            codes *= pw
+            encs = np.sort(np.where(known >= 0, codes.sum(axis=1), absent), axis=1).ravel()
+            fresh = encs < absent
+            fresh &= ~isin_sorted(encs, group_encs)
+            while fresh.any():
+                self._gens.append(decode_encodings(encs[fresh.argmax(), None], r)[0])
+                group_rows, group_encs = _extend_group(group_rows, group_encs, self._gens, r)
+                fresh &= ~isin_sorted(encs, group_encs)
+            lo, hi = hi, hi + step
+        self._group_encs = group_encs
+
+    @functools.cached_property
+    def strong_orbit(self) -> tuple[tuple[int, ...], ...]:
+        """The point sets of the strong orbit, base first, each sorted."""
+        return tuple(map(tuple, np.sort(self._points, axis=1).tolist()))
+
+    @functools.cached_property
+    def words_in(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, the generator indices that carry the base onto it."""
+        scc, parent, via = (t.tolist() for t in self._trees[:3])
+        return tuple(_tree_word(parent, via, i)[::-1] for i in scc)
+
+    @functools.cached_property
+    def words_back(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, the generator indices that carry it back onto the base."""
+        scc, _, _, nxt, via = (t.tolist() for t in self._trees)
+        return tuple(_tree_word(nxt, via, i) for i in scc)
+
+    @functools.cached_property
+    def induced_generators(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(g.tolist()) for g in self._gens)
 
     def induced_group(self) -> frozenset[tuple[int, ...]]:
         """The induced stabilizer group as position permutations."""
@@ -378,7 +520,7 @@ class RClassCertificate:
     @property
     def size(self) -> int:
         """Number of elements in the R-class."""
-        return len(self.strong_orbit) * len(self._group_encs)
+        return self._points.shape[0] * self._group_encs.shape[0]
 
     def contains_products(self, rows: np.ndarray) -> np.ndarray:
         """R-class membership for each row, all sharing the anchor's kernel.
@@ -399,139 +541,13 @@ class RClassCertificate:
         return out
 
 
-class _CertificateCore:
-    """Strong orbit, return words, and induced group over raw arrays."""
-
-    def __init__(self, gen_matrix: np.ndarray, anchor_images: np.ndarray):
-        Gm = gen_matrix
-        n = Gm.shape[1]
-        a = np.asarray(anchor_images, dtype=np.int8)
-        img = np.unique(a)
-        r = img.shape[0]
-        pos_of = np.full(n, -1, dtype=np.int8)
-        pos_of[img.astype(np.int64)] = np.arange(r, dtype=np.int8)
-        self.pos_of = pos_of
-
-        # forward orbit of image(a) under the generators, as a queue taken
-        # a batch of nodes at a time: a batch's new nodes are numbered in
-        # (parent, mask) order, as one node at a time would number them, and
-        # each edge keeps the least generator index that realises it
-        m = Gm.shape[0]
-        node_of = np.full(1 << n, -1, dtype=np.int64)  # node id by image mask
-        node_pts = np.empty((comb(n, r), r), dtype=np.int8)
-        node_pts[0] = img
-        node_of[_mask(img)] = 0
-        tree_u, tree_k = [np.full(1, -1)], [np.full(1, -1)]
-        edge_u: list[np.ndarray] = []
-        edge_v: list[np.ndarray] = []
-        edge_k: list[np.ndarray] = []
-        count, head = 1, 0
-        step = max(1, _CANDIDATE_ROW_BUDGET // m)
-        popcounts = _popcounts(n)
-        while head < count:
-            batch = np.arange(head, min(count, head + step))
-            head = int(batch[-1]) + 1
-            cols = Gm[:, node_pts[batch].astype(np.int64)]
-            masks = _mask(cols)
-            k, b = np.nonzero(popcounts[masks] == r)
-            # generator-major order: the first of each (parent, mask) has least k
-            _, first = np.unique(batch[b] << n | masks[k, b], return_index=True)
-            k, b = k[first], b[first]
-            u, masks = batch[b], masks[k, b]
-            fresh = np.flatnonzero(node_of[masks] < 0)
-            _, once = np.unique(masks[fresh], return_index=True)
-            fresh = fresh[np.sort(once)]
-            node_of[masks[fresh]] = np.arange(count, count + fresh.shape[0])
-            node_pts[count : count + fresh.shape[0]] = np.sort(cols[k[fresh], b[fresh]], axis=1)
-            count += fresh.shape[0]
-            tree_u.append(u[fresh])
-            tree_k.append(k[fresh])
-            edge_u.append(u)
-            edge_v.append(node_of[masks])
-            edge_k.append(k)
-        tree = np.stack([np.concatenate(tree_u), np.concatenate(tree_k)], axis=1).tolist()
-        eu, ev, ek = (np.concatenate(e) for e in (edge_u, edge_v, edge_k))
-
-        # strong component of the base: forward-reachable nodes that reach
-        # back, by a backward BFS over the edges into each node in the order
-        # they were found, one level at a time
-        by_v = np.argsort(ev, kind="stable")
-        starts = np.searchsorted(ev[by_v], np.arange(count + 1))
-        in_scc = np.zeros(count, dtype=bool)
-        in_scc[0] = True
-        back_tree = np.full((count, 2), -1, dtype=np.int64)
-        frontier = [0]
-        while frontier:
-            into = by_v[np.concatenate([np.arange(starts[v], starts[v + 1]) for v in frontier])]
-            into = into[~in_scc[eu[into]]]
-            _, once = np.unique(eu[into], return_index=True)
-            into = into[np.sort(once)]
-            found = eu[into]
-            in_scc[found] = True
-            back_tree[found, 0] = ev[into]
-            back_tree[found, 1] = ek[into]
-            frontier = found.tolist()
-        back_tree = back_tree.tolist()
-        scc = np.flatnonzero(in_scc).tolist()
-        self.nodes = [node_pts[i] for i in scc]
-        self.node_of = np.full(1 << n, -1, dtype=np.int64)
-        self.node_of[_mask(node_pts[scc])] = np.arange(len(scc))
-
-        def word_in(i: int) -> tuple[int, ...]:
-            out: list[int] = []
-            while tree[i][0] != -1:
-                parent, k = tree[i]
-                out.append(k)
-                i = parent
-            return tuple(reversed(out))
-
-        def word_back(i: int) -> tuple[int, ...]:
-            out: list[int] = []
-            while back_tree[i][0] != -1:
-                nxt, k = back_tree[i]
-                out.append(k)
-                i = nxt
-            return tuple(out)
-
-        self.words_in = [word_in(i) for i in scc]
-        self.words_back = [word_back(i) for i in scc]
-
-        def compose_word(word: tuple[int, ...]) -> np.ndarray:
-            cur = np.arange(n, dtype=np.int8)
-            for k in word:
-                cur = Gm[k][cur.astype(np.int64)]
-            return cur
-
-        self.t_in = np.array([compose_word(w) for w in self.words_in], dtype=np.int8)
-        self.t_back = np.array([compose_word(w) for w in self.words_back], dtype=np.int8)
-
-        # induced stabilizer group: a candidate joins the generators only
-        # when it lies outside the group built so far, which at least doubles
-        # the group, so at most log2 |H| generators are kept; stop at Sym(r)
-        full = factorial(r)
-        group_rows = np.arange(r, dtype=np.int8)[None, :]
-        group_encs = encode_rows_base(group_rows, r)
-        gens: list[np.ndarray] = []
-        for local_u in range(len(scc)):
-            if group_encs.shape[0] >= full:
-                break
-            ucols = self.t_in[local_u][img.astype(np.int64)].astype(np.int64)
-            cols = Gm[:, ucols].astype(np.int64)
-            # an image that collapses has fewer than r points: no node
-            known = self.node_of[_mask(cols)]
-            ok = known >= 0
-            if not ok.any():
-                continue
-            tb = self.t_back[known[ok]].astype(np.int64)
-            pis = pos_of[np.take_along_axis(tb, cols[ok], axis=1)]
-            encs, first = np.unique(encode_rows_base(pis, r), return_index=True)
-            fresh = ~isin_sorted(encs, group_encs)
-            while fresh.any():
-                gens.append(pis[first[fresh.argmax()]])
-                group_rows, group_encs = _extend_group(group_rows, group_encs, gens, r)
-                fresh &= ~isin_sorted(encs, group_encs)
-        self.group_encs = group_encs
-        self.induced_generators = tuple(tuple(int(v) for v in row) for row in gens)
+def _tree_word(parent: list[int], via: list[int], i: int) -> tuple[int, ...]:
+    """The labels on the tree path from node i up to the root."""
+    out: list[int] = []
+    while parent[i] != -1:
+        out.append(via[i])
+        i = parent[i]
+    return tuple(out)
 
 
 def encode_rows_base(rows: np.ndarray, base: int) -> np.ndarray:
@@ -570,23 +586,29 @@ def _extend_group(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The group generated by gens, given the one generated by gens[:-1].
 
-    rows lists that smaller group and encs holds its sorted encodings.
-    The earlier generators map it into itself, so the first round only
-    applies the new one; later rounds apply all of them to the fresh rows.
-    Returns (rows, sorted encodings) of the larger group.
+    rows lists that smaller group H and encs holds its sorted encodings.
+    Dimino's algorithm: the larger group is a union of cosets x H, and a
+    union of cosets that holds H and is closed under left multiplication
+    by every generator is the whole group.  So each coset representative
+    x is multiplied by each generator s, and when s x is new its whole
+    coset s x H joins, with one gather.  Returns (rows, sorted encodings)
+    of the larger group.
     """
-    frontier, step = rows, gens[-1:]
-    while frontier.shape[0]:
-        f64 = frontier.astype(np.int64)
-        cand = np.concatenate([g[f64] for g in step])
-        cencs = encode_rows_base(cand, r)
-        fresh = ~isin_sorted(cencs, encs)
-        uniq, first = np.unique(cencs[fresh], return_index=True)
-        frontier = cand[fresh][first]
-        rows = np.concatenate([rows, frontier])
-        encs = np.sort(np.concatenate([encs, uniq]))
-        step = gens
-    return rows, encs
+    pw = r ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    known = set(encs.tolist())
+    blocks, enc_blocks = [rows], [encs]
+    reps = [np.arange(r, dtype=rows.dtype)]
+    for x in reps:
+        for s in gens:
+            y = s[x]
+            if int(y @ pw) not in known:
+                coset = y[rows]
+                cencs = coset.astype(np.int64) @ pw
+                known.update(cencs.tolist())
+                blocks.append(coset)
+                enc_blocks.append(cencs)
+                reps.append(y)
+    return np.concatenate(blocks), np.sort(np.concatenate(enc_blocks))
 
 
 def r_class_certificate(
@@ -605,29 +627,7 @@ def r_class_certificate(
 
 def certificate_from_matrix(Gm: np.ndarray, anchor: Transformation) -> RClassCertificate:
     """r_class_certificate taking the generators as an image matrix."""
-    core = _CertificateCore(Gm, np.array(anchor.images, dtype=np.int8))
-    return RClassCertificate(
-        anchor=anchor,
-        strong_orbit=tuple(tuple(int(v) for v in node) for node in core.nodes),
-        words_in=tuple(core.words_in),
-        words_back=tuple(core.words_back),
-        induced_generators=core.induced_generators,
-        _node_of=core.node_of,
-        _t_back=core.t_back,
-        _pos_of=core.pos_of,
-        _group_encs=core.group_encs,
-        _anchor_kernel=anchor.kernel(),
-        _fiber_reps=_first_preimages(anchor),
-    )
-
-
-def _first_preimages(anchor: Transformation) -> np.ndarray:
-    """For each image point of anchor (sorted), its least preimage."""
-    img = sorted(set(anchor.images))
-    first: dict[int, int] = {}
-    for p, v in enumerate(anchor.images):
-        first.setdefault(v, p)
-    return np.array([first[w] for w in img], dtype=np.int64)
+    return RClassCertificate(Gm, anchor)
 
 
 def kernel_members(gens: np.ndarray, anchor: Transformation, rows: np.ndarray) -> np.ndarray:
@@ -649,7 +649,7 @@ def kernel_members(gens: np.ndarray, anchor: Transformation, rows: np.ndarray) -
     """
     n = gens.shape[1]
     a = np.array(anchor.images, dtype=np.int64)
-    T = _first_preimages(anchor)
+    T = np.unique(a, return_index=True)[1]
     r = T.shape[0]
     popcounts = _popcounts(n)
     if np.any(popcounts[_mask(gens)] != r):
@@ -698,6 +698,6 @@ def in_r_class(cert: RClassCertificate, x: Transformation) -> bool:
     """
     if x.degree != cert.anchor.degree:
         raise ValueError(f"degree mismatch: {x.degree} vs {cert.anchor.degree}")
-    if x.kernel() != cert._anchor_kernel:
+    if x.kernel() != cert.anchor.kernel():
         return False
     return bool(cert.contains_products(np.array([x.images], dtype=np.int8))[0])

@@ -9,9 +9,11 @@ from normgroups.bitset import Bitmap
 def test_basic_set_test():
     bm = Bitmap(100)
     assert not bm.test(5)
-    assert bm.set(5)
+    bm.set_batch(np.array([5], dtype=np.int64))
     assert bm.test(5)
-    assert not bm.set(5)
+    assert not bm.test(4) and not bm.test(6)
+    bm.set_batch(np.array([5], dtype=np.int64))
+    assert bm.test(5)
     assert bm.popcount() == 1
 
 
@@ -55,7 +57,7 @@ def test_next_unset_scans():
 
 def test_next_unset_within_partial_byte():
     bm = Bitmap(16)
-    bm.set(9)
+    bm.set_batch(np.array([9], dtype=np.int64))
     assert bm.next_unset(9) == 10
     assert bm.next_unset(8) == 8
 

@@ -1,13 +1,20 @@
+import hashlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from normgroups import normalizing
 from normgroups.catalog import catalog
 from normgroups.semigroups import (
     ClosureCapExceeded,
     TransSemigroup,
+    _extend_group,
+    certificate_from_matrix,
+    decode_encodings,
+    encode_rows_base,
     in_r_class,
     kernel_members,
     r_class_certificate,
@@ -356,3 +363,77 @@ def test_induced_generators_generate_the_group():
         assert set(gens) <= candidates <= grp, label
         if len(candidates) * len(grp) <= 100_000:
             assert perm_closure(candidates, r) == grp, label
+
+
+def test_extend_group_matches_perm_closure():
+    # the coset-by-coset closure against the plain one, adding random
+    # generators one at a time, some of them already in the group
+    rng = random.Random(71)
+    for r in range(1, 8):
+        for _ in range(6):
+            rows = np.arange(r, dtype=np.int8)[None, :]
+            encs = encode_rows_base(rows, r)
+            gens: list[np.ndarray] = []
+            for _ in range(rng.randrange(1, 4)):
+                perm = list(range(r))
+                rng.shuffle(perm)
+                gens.append(np.array(perm, dtype=np.int8))
+                rows, encs = _extend_group(rows, encs, gens, r)
+                want = perm_closure([tuple(g.tolist()) for g in gens], r)
+                assert {tuple(row) for row in rows.tolist()} == want
+                assert len(rows) == len(want)
+                assert encs.tolist() == sorted(encode_rows_base(rows, r).tolist())
+                assert tuple(rows[0].tolist()) == tuple(range(r))
+
+
+# degrees 4-9; A7, A8 and A9 have at least 1024 elements, so their first
+# tier is the conjugates by 256 strided elements
+GOLDEN_GROUPS = [
+    ("S4", 4), ("A4", 4), ("C5", 5), ("AGL(1,5)", 5), ("PSL(2,5)", 6), ("A6", 6),
+    ("AGL(1,7)", 7), ("A7", 7), ("PSL(2,7)", 8), ("A8", 8), ("PSL(2,8)", 9), ("A9", 9),
+]
+# sha256 over every certificate's fields, recorded before the certificate
+# was built one BFS level at a time; a faster build must reproduce it
+GOLDEN_DIGEST = "83766c78a9a9eb636234e1d9143e59d146d91122302d573491d1a55e06250af4"
+
+
+def test_certificates_match_the_recorded_digest():
+    rng = random.Random(4242)
+    h = hashlib.sha256()
+    built = 0
+    for label, n in GOLDEN_GROUPS:
+        group = catalog(label, n)
+        checker = normalizing._MapChecker(group)
+        for _ in range(4):
+            pts = rng.sample(range(n), rng.randrange(2, n))
+            a = Transformation([rng.choice(pts) for _ in range(n)])
+            prods = checker.M[:, np.array(a.images, dtype=np.int64)]
+            for tier, encs in enumerate(checker._conjugate_tiers(a)):
+                if n == 9 and group.order() > 1024 and tier > 0:
+                    break  # all of a^G under A9 is too slow for tier 1
+                cert = certificate_from_matrix(decode_encodings(encs, n), a)
+                h.update(repr((
+                    label, a.images, tier, cert.strong_orbit, cert.words_in,
+                    cert.words_back, cert.induced_generators,
+                    sorted(cert.induced_group()), cert.size,
+                )).encode())
+                h.update(np.packbits(cert.contains_products(prods)).tobytes())
+                built += 1
+    assert built == 72
+    assert h.hexdigest() == GOLDEN_DIGEST
+
+
+def test_sym8_certificate_memory_is_linear_in_the_induced_group():
+    # |H| = 8! = 40,320: its rows, encodings and the coset closure's set
+    # of encodings take about 3 MiB; the whole build stays under 8 MiB
+    group = catalog("PSL(2,8)", 9)
+    a = Transformation.parse("6,2,8,4,5,1,7,3,7")
+    rows = decode_encodings(normalizing._MapChecker(group)._conjugates(a), 9)
+    tracemalloc.start()
+    try:
+        cert = certificate_from_matrix(rows, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.size // len(cert.strong_orbit) == 40_320
+    assert peak < 8 * 2**20
