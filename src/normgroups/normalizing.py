@@ -33,15 +33,17 @@ g stays the witness.  The products go through a fixed strategy order:
    via the strong-orbit certificate.  Sufficient for membership but not
    necessary, so only an all-pass is conclusive.  The certificate is
    first built over growing subsets T of a^G, each holding a itself.
-   When 4 * 256 <= |G| the first is the conjugates of a by 256 elements
-   at evenly strided indices, which needs no pass over G; the next are
-   evenly strided picks of the sorted a^G, doubling while 4|T| <= |a^G|,
-   and the last is all of a^G.  Each tier re-tests only the products
-   the earlier ones rejected, so a^G is built in full only after a
-   rejection, for the shortcut, or for the closure stage.  This is
-   exact: if x is R-related to a in <T>, with a in T and T within a^G,
-   then x is R-related to a in <a^G>, so the tiers together accept
-   exactly what the full certificate accepts.
+   While 4s <= |G|, tier s is the conjugates of a by the s elements at
+   indices i|G|//s, for s = 256, 512, ...: nested, each holding a (the
+   first element is the identity), and none needing a pass over G.  A
+   tier past the first is tried only while 7/8 of its picks are
+   distinct, which holds about when 4|T| <= |a^G|; the last tier is all
+   of a^G.  Each tier re-tests only the products the earlier ones
+   rejected, so a^G is built in full only after every element-pick tier
+   has rejected something, for the shortcut, or for the closure stage.
+   This is exact: if x is R-related to a in <T>, with a in T and T
+   within a^G, then x is R-related to a in <a^G>, so the tiers together
+   accept exactly what the full certificate accepts.
 3. closure: exact membership of the products the r-class stage left,
    by kernel_members.  A product x of rank r = rank(a) that factors as
    c1 c2 ... ck over a^G has ker(c1) = ker(a), so its values on a
@@ -148,9 +150,10 @@ _SWEEP_BATCH = 128
 # test's fixed cost outweighs its cost per candidate
 _CANDIDATE_CHUNK = 4096
 
-# r-class tiers: conjugate subsets of 256, 512, ... picks, each tried only
-# while 4 * its size <= |a^G| (the first, picked by element, while
-# 4 * 256 <= |G|); a subset nearer |a^G| saves less than a failed tier costs
+# r-class tiers: a conjugated by 256, 512, ... strided elements, each tier
+# tried only while 4 * its picks <= |G| and, past the first, while 7/8 of
+# its picks are distinct (about 4 * its picks <= |a^G|); a subset nearer
+# |a^G| saves less than a failed tier costs
 _TIER_FIRST = 256
 _TIER_CUTOFF = 4
 
@@ -257,10 +260,15 @@ def _conjugate_encodings(M: np.ndarray, Minv: np.ndarray, a: Transformation) -> 
 
     With the rows of a group this is the orbit a^G, least member first:
     the one routine that builds a conjugation orbit of maps, for the
-    checker, the sweep and the class sweep alike.
+    checker, the sweep and the class sweep alike.  Deduplicated by a sort
+    and an adjacent-difference flag, which returns what np.unique would
+    without its hashing pass.
     """
     a8 = np.array(a.images, dtype=np.int8)
-    return np.unique(encode_rows(np.take_along_axis(M, a8[Minv], axis=1)))
+    encs = np.sort(encode_rows(np.take_along_axis(M, a8[Minv], axis=1)))
+    keep = np.ones(encs.shape[0], dtype=bool)
+    np.not_equal(encs[1:], encs[:-1], out=keep[1:])
+    return encs[keep]
 
 
 def _require_singular(group: PermutationGroup, a: Transformation) -> None:
@@ -284,26 +292,26 @@ class _MapChecker:
     def _conjugate_tiers(self, a: Transformation) -> Iterator[np.ndarray]:
         """Sorted encodings of the growing subsets T of a^G the r-class stage tries.
 
-        Each holds a.  When _TIER_CUTOFF * _TIER_FIRST <= |G|, the first is
-        the conjugates of a by the _TIER_FIRST elements at evenly strided
-        indices, which needs no pass over G.  The rest are evenly strided
-        picks of the sorted a^G, doubling while _TIER_CUTOFF times their
-        size is at most |a^G|, and the last is all of a^G.  After an
-        element pick, a^G is built only once that tier has rejected a product.
+        Tier s is a conjugated by the s elements at indices i * |G| // s,
+        for s = _TIER_FIRST, 2 * _TIER_FIRST, ... while _TIER_CUTOFF * s <=
+        |G|; those indices double with s, so the tiers are nested, and the
+        first element is the identity, so each holds a.  A tier past the
+        first is tried only when at least 7/8 of its s picks are distinct:
+        s picks from m conjugates give about s(1 - s/2m) of them, so this
+        is _TIER_CUTOFF * s <= |a^G| read without building a^G.  The last
+        tier is all of a^G, built only once every earlier tier has
+        rejected a product.
         """
-        anchor = a.encode()
         order = self.M.shape[0]
         size = _TIER_FIRST
-        if _TIER_CUTOFF * size <= order:
+        while _TIER_CUTOFF * size <= order:
             rows = self.M[np.arange(size) * order // size]
-            yield np.union1d(_conjugate_encodings(rows, np.argsort(rows, axis=1), a), anchor)
+            tier = _conjugate_encodings(rows, np.argsort(rows, axis=1), a)
+            if size > _TIER_FIRST and 8 * tier.shape[0] < 7 * size:
+                break
+            yield tier
             size *= 2
-        conj_encs = self._conjugates(a)
-        m = conj_encs.shape[0]
-        while _TIER_CUTOFF * size <= m:
-            yield np.union1d(conj_encs[np.arange(size) * m // size], anchor)
-            size *= 2
-        yield conj_encs
+        yield self._conjugates(a)
 
     def check(self, a: Transformation) -> NormalizingVerdict:
         """Decide whether every a*g lies in <a^G>."""
@@ -349,17 +357,19 @@ class _MapChecker:
             return verdict(STATUS_NORMALIZING, ("shortcut",))
         # a product R-related to a in <T>, with a in T within a^G, is
         # R-related to a in <a^G>: a tier only accepts what the full
-        # certificate accepts, so each tier re-tests the rest
-        bad = np.arange(prods.shape[0])
+        # certificate accepts, so each tier re-tests the rest: the rejected
+        # rows with their indices, so a tier accepting all copies no row
+        bad, rest = np.arange(prods.shape[0]), prods
         for encs in self._conjugate_tiers(a):
             conj_rows = decode_encodings(encs, self.group.degree)
             cert = certificate_from_matrix(conj_rows, a)
-            bad = bad[~cert.contains_products(prods[bad])]
+            out = ~cert.contains_products(rest)
+            bad, rest = bad[out], rest[out]
             if bad.size == 0:
                 return verdict(STATUS_NORMALIZING, ("r-class",))
         # the last tier was all of a^G
         trace = ("r-class", "closure")
-        inside = kernel_members(conj_rows, a, prods[bad])
+        inside = kernel_members(conj_rows, a, rest)
         if inside.all():
             return verdict(STATUS_NORMALIZING, trace)
         return verdict(STATUS_NOT, trace, int(bad[inside.argmin()]), REASON_MEMBERSHIP)

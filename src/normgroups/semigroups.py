@@ -10,7 +10,8 @@ reachable from image(a) that can also reach back), one word into and
 one word back per orbit member, and the induced stabilizer group,
 generated by the permutations that "enter at a node, step along an
 edge, and return" induce on image(a).  contains_products then needs
-only a strong-orbit lookup and one sorted-table search per product.
+only a strong-orbit lookup and one sorted-table search per product, and
+only the lookup when the induced group is all of Sym(r).
 
 The build works a whole BFS level at a time, so its array work grows
 with the depth of the search (two to four levels on the benchmark's
@@ -527,11 +528,15 @@ class RClassCertificate:
 
         Intended for anchor*g products (g a permutation), whose kernel
         always equals the anchor's; the kernel comparison is skipped.
-        Returns one boolean per row.
+        Returns one boolean per row.  When the induced group is all of
+        Sym(r), every permutation the return word induces lies in it, so
+        a row passes exactly when its image set is a strong-orbit node.
         """
-        xi = rows.astype(np.int64)[:, self._fiber_reps]
+        xi = rows[:, self._fiber_reps]
         nodes = self._node_of[_mask(xi)]
         found = nodes >= 0
+        if self._group_encs.shape[0] == factorial(self.rank):
+            return found
         out = np.zeros(rows.shape[0], dtype=bool)
         if not found.any():
             return out

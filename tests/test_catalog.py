@@ -53,6 +53,18 @@ def test_catalog_groups_transitive():
             assert catalog(label, degree).is_transitive(), label
 
 
+def test_first_element_is_the_identity():
+    # the conjugate tiers and the distinct-restriction table both take
+    # element 0 to be the identity
+    groups = {(label, degree) for label, degree in EXPECTED_ORDERS}
+    for degree in (*range(1, 10), 12):
+        groups.update((label, degree) for label in catalog_labels(degree))
+    for label, degree in sorted(groups):
+        group = catalog(label, degree)
+        assert group.elements()[0].images == tuple(range(degree)), label
+        assert group.element_matrix()[0].tolist() == list(range(degree)), label
+
+
 def test_label_aliases():
     assert canonical_label("d10") == "D(2*5)"
     assert canonical_label("AGammaL(1,8)") == "AΓL(1,8)"

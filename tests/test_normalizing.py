@@ -189,28 +189,43 @@ def test_conjugate_tiers_accept_only_what_the_full_certificate_accepts():
             a = Transformation([rng.randrange(n) for _ in range(n)])
             if not a.is_permutation() and exists_section_mapper(group, a) is not None:
                 maps.append(a)
+        M, Minv = checker.M, group.inverse_matrix()
+        order = M.shape[0]
         subset_tiers = 0
         for a in maps:
             conj_encs = checker._conjugates(a)
             full = _certified(checker, a, conj_encs)
             tiers = list(checker._conjugate_tiers(a))
-            # every tier lies in a^G and holds a once; the last is all of a^G
+            # every tier lies in a^G and holds a once; each lies in the
+            # next, and the last is all of a^G
             for tier in tiers:
                 assert tier.tolist().count(a.encode()) == 1
                 assert np.isin(tier, conj_encs).all()
+            for smaller, larger in zip(tiers, tiers[1:]):
+                assert np.isin(smaller, larger).all()
             assert np.array_equal(tiers[-1], conj_encs)
-            # |G| >= 1024 here, so the first tier is the element pick
-            assert tiers[0].shape[0] <= 257
-            for tier in tiers[:-1]:
+            # |G| >= 1024 here, so there is at least one partial tier: a
+            # conjugated by 256, 512, ... elements at strided indices
+            assert len(tiers) >= 2
+            for i, tier in enumerate(tiers):
+                picks = 256 << i
+                at = np.arange(picks) * order // picks
+                picked = normalizing._conjugate_encodings(M[at], Minv[at], a)
+                if i == len(tiers) - 1:
+                    # the doubling stopped at |G| / 4 picks, or at the first
+                    # tier with fewer than 7/8 of its picks distinct
+                    assert 4 * picks > order or 8 * picked.shape[0] < 7 * picks
+                    break
+                assert 4 * picks <= order and np.array_equal(tier, picked)
+                assert i == 0 or 8 * tier.shape[0] >= 7 * picks
                 accepted = _certified(checker, a, tier)
                 assert not (accepted & ~full).any(), (group.label, a.one_based())
                 subset_tiers += 1
-            for tier in tiers[1:-1]:
-                assert tier.shape[0] >= 512
             if a in fixed.get(group.label, []):
                 # a known negative: every tier rejects some product, and the
                 # exact stage finds the least g whose a*g escapes <a^G>
-                assert len(conj_encs) == 2520 and len(tiers) == 3
+                assert len(conj_encs) == 2520
+                assert [t.shape[0] for t in tiers[:-1]] == [249, 482, 915]
                 assert not full.all()
                 v = is_a_normalizing(group, a)
                 assert v.status == STATUS_NOT and v.trace == ("r-class", "closure")
@@ -309,6 +324,60 @@ def test_first_tier_acceptance_never_builds_all_of_a_g(monkeypatch):
     assert replay.status == STATUS_NORMALIZING
     assert full_builds == []
     assert len(sizes) == 2 and max(sizes) <= 257
+
+
+def test_a9_element_pick_tiers_accept_without_all_of_a_g(monkeypatch):
+    # two A9 maps with 15,120 and 90,720 conjugates are accepted by an
+    # element-pick tier of at most 1,024 picks: a^G is never built, and no
+    # certificate is taken over more conjugates than that
+    full_builds = []
+    conjugates = normalizing._MapChecker._conjugates
+
+    def spy(checker, a):
+        full_builds.append(a)
+        return conjugates(checker, a)
+
+    sizes = []
+    certificate = normalizing.certificate_from_matrix
+
+    def spy_cert(rows, a):
+        sizes.append(rows.shape[0])
+        return certificate(rows, a)
+
+    group = catalog("A9", 9)
+    checker = normalizing._MapChecker(group)
+    maps = [Transformation.parse("2,5,2,2,5,2,2,5,4"), Transformation.parse("7,3,3,2,2,9,9,9,3")]
+    assert [len(checker._conjugates(a)) for a in maps] == [15_120, 90_720]
+    monkeypatch.setattr(normalizing._MapChecker, "_conjugates", spy)
+    monkeypatch.setattr(normalizing, "certificate_from_matrix", spy_cert)
+    for a in maps:
+        v = checker.check(a)
+        assert v.status == STATUS_NORMALIZING and v.trace == ("r-class",), a.one_based()
+    assert full_builds == []
+    assert sizes and max(sizes) <= 1024
+
+
+def test_conjugate_encodings_match_np_unique():
+    # the sort-and-flag dedupe returns what np.unique returns, from orbits
+    # with heavy repeats (181,440 rows down to 2,520 or 72), with none
+    # (504 rows, 504 conjugates), and from one row
+    cases = [
+        (catalog("A9", 9), "1,1,1,1,1,2,2,2,2", 2520),
+        (catalog("A9", 9), "1,2,3,4,5,6,7,8,8", 72),
+        (catalog("PSL(2,8)", 9), "6,2,8,4,5,1,7,3,7", 504),
+        (catalog("A4", 4), "1,1,2,3", 12),
+    ]
+    for group, text, size in cases:
+        a = Transformation.parse(text)
+        M, Minv = group.element_matrix(), group.inverse_matrix()
+        a8 = np.array(a.images, dtype=np.int8)
+        for rows, inv in ((M, Minv), (M[:1], Minv[:1]), (M[-1:], Minv[-1:])):
+            want = np.unique(encode_rows(np.take_along_axis(rows, a8[inv], axis=1)))
+            got = normalizing._conjugate_encodings(rows, inv, a)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (group.label, text)
+        assert normalizing._conjugate_encodings(M, Minv, a).shape[0] == size
+        # row 0 is the identity
+        assert normalizing._conjugate_encodings(M[:1], Minv[:1], a).tolist() == [a.encode()]
 
 
 def test_second_check_of_an_image_set_sorts_no_array_of_g_rows(monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -272,6 +273,30 @@ def test_contains_products_matches_scalar_test():
             assert bool(got[i]) == in_r_class(cert, a * h)
 
 
+def test_contains_products_matches_brute_force_r_class_with_full_and_proper_induced_groups():
+    # with the induced group all of Sym(r) a row passes on its image set
+    # alone; either way the accepted maps of a's kernel are its R-class
+    cases = [
+        ("AGL(1,5)", 5, "1,1,2,3,3", True),
+        ("A4", 4, "1,1,2,3", True),
+        ("C5", 5, "1,2,4,3,2", False),
+        ("D(2*5)", 5, "2,4,4,5,5", False),
+    ]
+    for label, n, text, full in cases:
+        a = Transformation.parse(text)
+        conj = sorted({a.conjugated_by(h) for h in catalog(label, n).elements()})
+        cert = r_class_certificate(conj, a)
+        assert (len(cert.induced_group()) == math.factorial(a.rank)) == full, label
+        expected = brute_r_class(list(TransSemigroup(conj).close()), a)
+        # every map of a's kernel: one injective choice of image per class
+        picks = np.array(list(itertools.permutations(range(n), a.rank)), dtype=np.int8)
+        rows = picks[:, list(a.kernel().class_ids)]
+        got = cert.contains_products(rows)
+        want = [Transformation(row.tolist()) in expected for row in rows]
+        assert got.tolist() == want, label
+        assert sum(want) == len(expected) == cert.size
+
+
 def test_certificate_words_replay():
     g = catalog("D(2*5)", 5)
     a = Transformation.parse("1,1,3,4,1")
@@ -397,6 +422,29 @@ GOLDEN_GROUPS = [
 GOLDEN_DIGEST = "83766c78a9a9eb636234e1d9143e59d146d91122302d573491d1a55e06250af4"
 
 
+def _recorded_tiers(checker, a):
+    """The conjugate subsets the digest was recorded over, least first.
+
+    When 4 * 256 <= |G|, a conjugated by the 256 elements at indices
+    i * |G| // 256, with a added; then picks at indices i * |a^G| // s of
+    the sorted a^G, with a added, for s = 512, 1024, ... while 4s <= |a^G|
+    (s = 256, ... when the element pick was skipped); then all of a^G.
+    """
+    M, order = checker.M, checker.M.shape[0]
+    size = 256
+    if 4 * size <= order:
+        rows = M[np.arange(size) * order // size]
+        picked = normalizing._conjugate_encodings(rows, np.argsort(rows, axis=1), a)
+        yield np.union1d(picked, a.encode())
+        size *= 2
+    conj_encs = checker._conjugates(a)
+    m = conj_encs.shape[0]
+    while 4 * size <= m:
+        yield np.union1d(conj_encs[np.arange(size) * m // size], a.encode())
+        size *= 2
+    yield conj_encs
+
+
 def test_certificates_match_the_recorded_digest():
     rng = random.Random(4242)
     h = hashlib.sha256()
@@ -408,7 +456,7 @@ def test_certificates_match_the_recorded_digest():
             pts = rng.sample(range(n), rng.randrange(2, n))
             a = Transformation([rng.choice(pts) for _ in range(n)])
             prods = checker.M[:, np.array(a.images, dtype=np.int64)]
-            for tier, encs in enumerate(checker._conjugate_tiers(a)):
+            for tier, encs in enumerate(_recorded_tiers(checker, a)):
                 if n == 9 and group.order() > 1024 and tier > 0:
                     break  # all of a^G under A9 is too slow for tier 1
                 cert = certificate_from_matrix(decode_encodings(encs, n), a)
