@@ -13,25 +13,38 @@ edge, and return" induce on image(a).  contains_products then needs
 only a strong-orbit lookup and one sorted-table search per product, and
 only the lookup when the induced group is all of Sym(r).
 
-The build works a whole BFS level at a time, so its array work grows
-with the depth of the search (two to four levels on the benchmark's
-maps), not with the strong orbit's size:
+Every generator has the anchor's rank r, so a step S -> c(S) that keeps
+r points lands on image(c): the target of an edge is its generator's
+alone.  The build rests on that:
 
-- the forward search takes every node of a level at once, each keyed
-  by its bitmask in a table of 2**n entries, and numbers the nodes as a
-  one-set-at-a-time search would;
-- the backward search gathers every edge into a level at once;
+- one table, valid[t, k], says whether generator k keeps target t (a
+  generator's image set, or image(a)) at r points.  It takes one byte
+  per entry and is kept for the induced group; it is built a chunk of
+  generators at a time, so the integer arrays that build it stay within
+  the same row budget as the other batched searches;
+- a segmented minimum over the generators grouped by target reduces it
+  to least[t, u], the least generator taking target t onto target u;
+- the forward and backward searches run a whole BFS level at a time on
+  least, with no per-edge sort: a new node keeps its edge from (or into)
+  the earliest node of the level, so the nodes are numbered, and the
+  least generator of each tree edge kept, as a one-node-at-a-time search
+  taking targets in mask order would number and keep them;
 - the transforms into and back from each node are carried along the
   two BFS trees with one gather per level;
 - the words, the strong orbit as tuples and the kept generators are
   read from the trees only when asked for.
 
-The induced group is built one candidate permutation at a time: a
-candidate already in the group is skipped (binary search of the sorted
+The induced group is built one candidate permutation at a time, each
+candidate's validity and return node read from valid: a candidate
+already in the group is skipped (binary search of the sorted
 encodings), any other becomes a generator, and the group is extended
 coset by coset (Dimino's algorithm), one gather per new coset.  Each
 kept generator at least doubles the group, so a certificate stores at
-most log2 |H| of them, and its memory grows linearly with |H|.
+most log2 |H| of them, and its memory grows linearly with |H|.  Once
+the closure holds more than r!/2 elements the group is Sym(r), by
+Lagrange, so the closure stops there and every later candidate is
+already in it; the certificate records that the group is full, and
+builds the r! permutations only if induced_group() is read.
 
 kernel_members decides full membership, not just the R-class, for maps
 of the anchor's kernel and rank in a semigroup generated by maps of that
@@ -49,7 +62,8 @@ certify absence.
 from __future__ import annotations
 
 import functools
-from math import comb, factorial
+import itertools
+from math import factorial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -354,16 +368,30 @@ class TransSemigroup:
 class RClassCertificate:
     """Everything needed to test membership in the R-class of anchor.
 
-    Building it runs the whole search but keeps arrays only: the strong
-    orbit node of every image mask, the transform back to image(anchor)
-    from every node, and the sorted encodings of the induced group.
-    strong_orbit, the words and induced_generators are read from these
-    and the two search trees on first use, since membership tests need
-    none of them.
+    Every generator must have the anchor's rank r; another rank raises
+    ValueError.  Building it runs the whole search but keeps arrays
+    only: the strong orbit node of every image mask, the transform back
+    to image(anchor) from every node, and the sorted encodings of the
+    induced group, or only the fact that it is all of Sym(r).
+    strong_orbit, the words, induced_generators and the rows of a full
+    induced group are read from these and the two search trees on first
+    use, since membership tests need none of them.
+
+    The searches run on least[t, u], the least generator taking target t
+    onto target u, where the targets are the generators' image sets: a
+    step that keeps r points lands on its generator's image.  Each
+    search level takes, for every new node, the earliest node of the
+    current level it is joined to, and orders the new nodes by that node
+    and then by mask (forward) or node number (backward), which is the
+    order a one-node-at-a-time search taking targets in mask order would
+    give.  So the nodes, the words and the kept generators do not depend
+    on the batching.
 
     induced_generators holds only the candidates that enlarged the
     induced group when they were found, in the order found: each lies
-    outside the group generated by the ones before it.
+    outside the group generated by the ones before it.  The induced
+    group's closure stops past r!/2 elements, where by Lagrange it is
+    Sym(r) and no later candidate can enlarge it.
     """
 
     def __init__(self, gen_matrix: np.ndarray, anchor: Transformation):
@@ -376,62 +404,88 @@ class RClassCertificate:
         r = self.rank = img.shape[0]
         pos_of = self._pos_of = np.full(n, -1, dtype=np.int8)
         pos_of[img] = np.arange(r, dtype=np.int8)
-        # GmT[p, k] = Gm[k][p], and bits[p, k] is its bit: the OR of bits[S]
-        # along the first axis is the image mask of S under every generator
-        GmT = np.ascontiguousarray(Gm.T)
-        bits = np.left_shift(1, GmT, dtype=np.int64)
-        step = max(1, _CANDIDATE_ROW_BUDGET // (m * r))
-
-        # forward orbit of image(a) under the generators, as a queue taken
-        # a batch of nodes at a time: a batch's new nodes are numbered in
-        # (parent, mask) order, as one node at a time would number them, and
-        # each edge keeps the least generator index that realises it.
-        # t_in[v] is the product along the tree word into v, carried down
-        # the tree one batch at a time, and t_in[v][img] lists v's points
-        size = comb(n, r)
-        t_in = np.empty((size, n), dtype=np.int8)
-        t_in[0] = np.arange(n)
-        node_mask = np.empty(size, dtype=np.int64)
-        node_mask[0] = _mask(img)
-        node_of = np.full(1 << n, -1, dtype=np.int64)  # node id by image mask
-        node_of[node_mask[0]] = 0
-        tree_u, tree_k = [np.full(1, -1)], [np.full(1, -1)]
-        edge_u: list[np.ndarray] = []
-        edge_v: list[np.ndarray] = []
-        edge_k: list[np.ndarray] = []
-        count, head = 1, 0
         popcounts = _popcounts(n)
-        while head < count:
-            batch = np.arange(head, min(count, head + step))
-            head = int(batch[-1]) + 1
-            masks = np.bitwise_or.reduce(bits[t_in[batch][:, img]], axis=1)
-            b, k = np.nonzero(popcounts[masks] == r)
-            # k ascends within each parent: the first of each (parent, mask) has least k
-            _, first = np.unique(batch[b] << n | masks[b, k], return_index=True)
-            b, k = b[first], k[first]
-            u, masks = batch[b], masks[b, k]
-            fresh = np.flatnonzero(node_of[masks] < 0)
-            _, once = np.unique(masks[fresh], return_index=True)
-            fresh = fresh[np.sort(once)]
-            new = np.arange(count, count + fresh.shape[0])
-            node_of[masks[fresh]] = new
-            node_mask[new] = masks[fresh]
-            t_in[new] = Gm[k[fresh][:, None], t_in[u[fresh]]]
-            count += fresh.shape[0]
-            tree_u.append(u[fresh])
-            tree_k.append(k[fresh])
-            edge_u.append(u)
-            edge_v.append(node_of[masks])
-            edge_k.append(k)
-        eu, ev, ek = (np.concatenate(e) for e in (edge_u, edge_v, edge_k))
+        gen_masks = np.bitwise_or.reduce(np.left_shift(1, Gm, dtype=np.int32), axis=1)
+        if np.any(popcounts[gen_masks] != r):
+            raise ValueError(f"every generator must have rank {r}")
+
+        # the targets: every generator's image set, and image(a), numbered
+        # in mask order.  A step S -> c(S) that keeps r points lands on
+        # image(c), so an edge's target is its generator's.  The generators
+        # are taken grouped by target (a stable sort keeps the least index
+        # first in each group), and valid[t, j] says whether grouped
+        # generator j keeps target t at r points, a chunk of generators at
+        # a time.  A segmented minimum over each group gives least[t, u],
+        # the least generator taking target t onto target u, or m for none
+        base = _mask(img)
+        is_target = np.zeros(1 << n, dtype=bool)
+        is_target[gen_masks] = True
+        is_target[base] = True
+        masks = np.flatnonzero(is_target)
+        nt = masks.shape[0]
+        # at most C(16, 8) < 2**15 targets up to degree 16: int16 numbers
+        # them, and the stable sort of int16 keys is a radix sort
+        number = (np.cumsum(is_target) - 1).astype(np.int16)
+        order = np.argsort(number[gen_masks], kind="stable")
+        tgt = number[gen_masks[order]]
+        GmT = np.ascontiguousarray(Gm[order].T)
+        t_points = np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(nt, r)
+        mask_type = np.int16 if n < 16 else np.int64  # holds every mask
+        grouped_masks = masks[tgt].astype(mask_type)
+        valid = np.empty((nt, m), dtype=bool)
+        least = np.full((nt, nt), m, dtype=np.int64)
+        step = max(1, _CANDIDATE_ROW_BUDGET // (nt * r))
+        for j0 in range(0, m, step):
+            j1 = min(m, j0 + step)
+            bits = np.left_shift(1, GmT[:, j0:j1], dtype=mask_type)
+            hit = bits[t_points[:, 0]]
+            for p in range(1, r):
+                hit |= bits[t_points[:, p]]
+            # a step keeps r points exactly when it covers its generator's image
+            keeps = np.equal(hit, grouped_masks[j0:j1], out=valid[:, j0:j1])
+            group = tgt[j0:j1]
+            starts = np.flatnonzero(np.diff(group, prepend=-1))
+            # the first valid position j of each group, as the largest
+            # j1 - j, or 0 when there is none
+            from_end = keeps * np.arange(j1 - j0, 0, -1, dtype=np.int32)
+            from_end = np.maximum.reduceat(from_end, starts, axis=1)
+            found = np.where(from_end > 0, order[j1 - from_end.clip(min=1)], m)
+            cols = group[starts]
+            least[:, cols] = np.minimum(least[:, cols], found)
+
+        # forward orbit of image(a), a whole BFS level at a time, on least:
+        # a new node keeps its edge from the earliest parent in the level,
+        # and the level's new nodes are numbered in (parent, mask) order, as
+        # one node at a time in mask order would number them.  t_in[v] is
+        # the product along the tree word into v, carried down the tree one
+        # level at a time, and t_in[v][img] lists v's points
+        node_t = np.empty(nt, dtype=np.int64)  # target of each node
+        node_t[0] = number[base]
+        t_node = np.full(nt, -1, dtype=np.int64)  # node of each target
+        t_node[node_t[0]] = 0
+        t_in = np.empty((nt, n), dtype=np.int8)
+        t_in[0] = np.arange(n)
+        tree_u, tree_k = [np.full(1, -1)], [np.full(1, -1)]
+        level, count = np.zeros(1, dtype=np.int64), 1
+        while level.shape[0]:
+            reach = least[node_t[level]] < m
+            reach[:, t_node >= 0] = False
+            i, t = _first_in_columns(reach)
+            u, new = level[i], np.arange(count, count + t.shape[0])
+            k = least[node_t[u], t]
+            node_t[new], t_node[t] = t, new
+            t_in[new] = Gm[k[:, None], t_in[u]]
+            tree_u.append(u)
+            tree_k.append(k)
+            level, count = new, count + t.shape[0]
 
         # strong component of the base: forward-reachable nodes that reach
-        # back, by a backward BFS that gathers every edge into a level at
-        # once, edges into one node in the order they were found.  t_back[v]
-        # is the product along the word back from v, carried up one level
-        # at a time: the edge v -> w by generator k gives t_back[w] after k
-        by_v = np.argsort(ev, kind="stable")
-        starts = np.searchsorted(ev[by_v], np.arange(count + 1))
+        # back, by a backward BFS on least, a level at a time.  A new node
+        # keeps its edge into the earliest node of the level, and the new
+        # level is ordered by that node, then by node number, as gathering
+        # the edges into each node in turn would order it.  t_back[v] is the
+        # product along the word back from v, carried up one level at a
+        # time: the edge v -> w by generator k gives t_back[w] after k
         in_scc = np.zeros(count, dtype=bool)
         in_scc[0] = True
         back_v = np.full(count, -1, dtype=np.int64)
@@ -440,54 +494,60 @@ class RClassCertificate:
         t_back[0] = np.arange(n)
         level = np.zeros(1, dtype=np.int64)
         while level.shape[0]:
-            lo, sizes = starts[level], starts[level + 1] - starts[level]
-            ends = np.cumsum(sizes)
-            into = by_v[np.arange(ends[-1]) + np.repeat(lo - ends + sizes, sizes)]
-            into = into[~in_scc[eu[into]]]
-            _, once = np.unique(eu[into], return_index=True)
-            into = into[np.sort(once)]
-            level = eu[into]
+            out = np.flatnonzero(~in_scc)
+            i, j = _first_in_columns(least[node_t[out], node_t[level][:, None]] < m)
+            level, w = out[j], level[i]
+            k = least[node_t[level], node_t[w]]
             in_scc[level] = True
-            back_v[level], back_k[level] = ev[into], ek[into]
-            t_back[level] = t_back[ev[into][:, None], Gm[ek[into]]]
+            back_v[level], back_k[level] = w, k
+            t_back[level] = t_back[w[:, None], Gm[k]]
         scc = np.flatnonzero(in_scc)
-        # from here on node_of numbers the strong orbit alone
-        node_of[node_mask[:count]] = np.where(in_scc, np.cumsum(in_scc) - 1, -1)
+        # strong-orbit node by image mask, and by target
+        node_of = self._node_of = np.full(1 << n, -1, dtype=np.int64)
+        node_of[masks[node_t[scc]]] = np.arange(scc.shape[0])
+        t_scc = np.full(nt, -1, dtype=np.int64)
+        t_scc[node_t[scc]] = np.arange(scc.shape[0])
         t_back = self._t_back = t_back[scc]
         points = self._points = t_in[scc][:, img]
-        self._node_of = node_of
         self._trees = (scc, np.concatenate(tree_u), np.concatenate(tree_k), back_v, back_k)
 
         # induced stabilizer group: the candidates "enter at a node, step
         # by a generator, return", a chunk of nodes at a time and in (node,
-        # encoding) order, as one node at a time would take them.  A
-        # candidate joins the generators only when it lies outside the
-        # group built so far, which at least doubles the group, so at most
-        # log2 |H| generators are kept; stop at Sym(r).  The base goes
-        # alone first, since the group is most often complete there
+        # encoding) order, as one node at a time would take them; valid says
+        # which steps keep r points, and the step's target which node they
+        # return from.  A candidate joins the generators only when it lies
+        # outside the group built so far, which at least doubles the group,
+        # so at most log2 |H| generators are kept.  Past r!/2 elements the
+        # group is Sym(r) (Lagrange), every candidate lies in it, and the
+        # build stops.  The base goes alone first, since the group is most
+        # often complete there
         full = factorial(r)
         group_rows = np.arange(r, dtype=np.int8)[None, :]
         group_encs = encode_rows_base(group_rows, r)
         absent = r**r  # above every encoding
         pw = r ** np.arange(r - 1, -1, -1, dtype=np.int64)[:, None]
+        lands = t_scc[tgt]  # node each grouped generator's step returns from
+        step = max(1, _CANDIDATE_ROW_BUDGET // (m * r))
         self._gens: list[np.ndarray] = []
         lo, hi = 0, 1
-        while lo < scc.shape[0] and group_encs.shape[0] < full:
+        while lo < scc.shape[0] and 2 * group_encs.shape[0] <= full:
             pts = points[lo:hi]
-            # an image that collapses has fewer than r points and no node:
-            # its code is junk and is masked out
-            known = node_of[np.bitwise_or.reduce(bits[pts], axis=1)]
+            # a step that collapses has fewer than r points and no node: its
+            # code is junk and is masked out
+            known = np.where(valid[node_t[scc[lo:hi]]], lands, -1)
             codes = pos_of[t_back[known[:, None, :], GmT[pts]]].astype(np.int64)
             codes *= pw
             encs = np.sort(np.where(known >= 0, codes.sum(axis=1), absent), axis=1).ravel()
             fresh = encs < absent
             fresh &= ~isin_sorted(encs, group_encs)
-            while fresh.any():
+            while fresh.any() and 2 * group_encs.shape[0] <= full:
                 self._gens.append(decode_encodings(encs[fresh.argmax(), None], r)[0])
                 group_rows, group_encs = _extend_group(group_rows, group_encs, self._gens, r)
                 fresh &= ~isin_sorted(encs, group_encs)
             lo, hi = hi, hi + step
-        self._group_encs = group_encs
+        self._full = 2 * group_encs.shape[0] > full
+        # the encodings of Sym(r) are built only when induced_group() is read
+        self._group_encs = None if self._full else group_encs
 
     @functools.cached_property
     def strong_orbit(self) -> tuple[tuple[int, ...], ...]:
@@ -513,15 +573,15 @@ class RClassCertificate:
     def induced_group(self) -> frozenset[tuple[int, ...]]:
         """The induced stabilizer group as position permutations."""
         r = self.rank
-        rows = decode_encodings(self._group_encs, r) if r > 1 else np.zeros(
-            (len(self._group_encs), 1), dtype=np.int8
-        )
-        return frozenset(tuple(int(v) for v in row) for row in rows)
+        if self._full:
+            return frozenset(itertools.permutations(range(r)))
+        return frozenset(map(tuple, decode_encodings(self._group_encs, r).tolist()))
 
     @property
     def size(self) -> int:
         """Number of elements in the R-class."""
-        return self._points.shape[0] * self._group_encs.shape[0]
+        order = factorial(self.rank) if self._full else self._group_encs.shape[0]
+        return self._points.shape[0] * order
 
     def contains_products(self, rows: np.ndarray) -> np.ndarray:
         """R-class membership for each row, all sharing the anchor's kernel.
@@ -535,7 +595,7 @@ class RClassCertificate:
         xi = rows[:, self._fiber_reps]
         nodes = self._node_of[_mask(xi)]
         found = nodes >= 0
-        if self._group_encs.shape[0] == factorial(self.rank):
+        if self._full:
             return found
         out = np.zeros(rows.shape[0], dtype=bool)
         if not found.any():
@@ -570,6 +630,11 @@ def _mask(points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _first_in_columns(hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of the first hit in each column, in row-major order."""
+    return np.nonzero(hits & (hits.cumsum(axis=0) == 1))
+
+
 @functools.lru_cache(maxsize=None)
 def _popcounts(n: int) -> np.ndarray:
     """Number of set bits of every n-bit mask."""
@@ -597,16 +662,20 @@ def _extend_group(
     by every generator is the whole group.  So each coset representative
     x is multiplied by each generator s, and when s x is new its whole
     coset s x H joins, with one gather.  Returns (rows, sorted encodings)
-    of the larger group.
+    of the larger group, except that the closure stops as soon as it
+    holds more than r!/2 elements: by Lagrange the group is then Sym(r),
+    and only those elements are returned.
     """
     pw = r ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    full = factorial(r)
     known = set(encs.tolist())
     blocks, enc_blocks = [rows], [encs]
     reps = [np.arange(r, dtype=rows.dtype)]
+    steps = np.array(gens)
     for x in reps:
-        for s in gens:
-            y = s[x]
-            if int(y @ pw) not in known:
+        ys = steps[:, x]
+        for y, enc in zip(ys, (ys @ pw).tolist()):
+            if 2 * len(known) <= full and enc not in known:
                 coset = y[rows]
                 cencs = coset.astype(np.int64) @ pw
                 known.update(cencs.tolist())
@@ -619,7 +688,11 @@ def _extend_group(
 def r_class_certificate(
     generators: Sequence[Transformation], anchor: Transformation
 ) -> RClassCertificate:
-    """Certificate for the R-class of anchor in the semigroup they generate."""
+    """Certificate for the R-class of anchor in the semigroup they generate.
+
+    Every generator must have the anchor's rank, as the conjugates of the
+    anchor do; another rank raises ValueError.
+    """
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -631,7 +704,11 @@ def r_class_certificate(
 
 
 def certificate_from_matrix(Gm: np.ndarray, anchor: Transformation) -> RClassCertificate:
-    """r_class_certificate taking the generators as an image matrix."""
+    """r_class_certificate taking the generators as an image matrix.
+
+    Every row must have the anchor's rank, as the conjugates of the
+    anchor do; another rank raises ValueError.
+    """
     return RClassCertificate(Gm, anchor)
 
 

@@ -241,6 +241,19 @@ def test_certificate_anchor_and_rank_filter():
         in_r_class(cert, Transformation.parse("1,1"))
 
 
+def test_certificate_refuses_a_generator_of_another_rank():
+    # every edge's target is its generator's image set only when every
+    # generator has the anchor's rank: another rank is refused
+    a = Transformation.parse("1,1,2,3")
+    lower = Transformation.parse("1,1,1,2")
+    with pytest.raises(ValueError, match="rank 3"):
+        r_class_certificate([a, lower], a)
+    with pytest.raises(ValueError, match="rank 3"):
+        certificate_from_matrix(np.array([a.images, lower.images], dtype=np.int8), a)
+    with pytest.raises(ValueError, match="rank 3"):
+        r_class_certificate([Permutation.parse("(1 2)", 4), a], a)
+
+
 def test_certificate_matches_brute_force_r_class():
     g = catalog("PSL(2,5)", 6)
     a = Transformation.parse("1,1,2,2,1,2")
@@ -295,6 +308,35 @@ def test_contains_products_matches_brute_force_r_class_with_full_and_proper_indu
         want = [Transformation(row.tolist()) in expected for row in rows]
         assert got.tolist() == want, label
         assert sum(want) == len(expected) == cert.size
+
+
+def _induced_permutation(a, x):
+    """The position permutation x induces on image(a), x of a's kernel."""
+    img = sorted(set(a.images))
+    pos = {p: j for j, p in enumerate(img)}
+    reps = {a.images[q]: q for q in reversed(range(a.degree))}
+    return tuple(pos[x.images[reps[p]]] for p in img)
+
+
+def test_full_and_proper_induced_groups_match_the_brute_force_r_class():
+    # the Sym(r) group is built only past r!/2 elements, and its rows only
+    # when read; either way the group is what the members of the R-class
+    # with a's image induce on it, and size and contains_products agree
+    cases = [("A4", 4, "1,1,2,3", True), ("C5", 5, "1,2,4,3,2", False)]
+    for label, n, text, full in cases:
+        a = Transformation.parse(text)
+        conj = sorted({a.conjugated_by(h) for h in catalog(label, n).elements()})
+        cert = r_class_certificate(conj, a)
+        expected = brute_r_class(list(TransSemigroup(conj).close()), a)
+        same_image = [x for x in expected if x.image() == a.image()]
+        group = cert.induced_group()
+        assert group == {_induced_permutation(a, x) for x in same_image}, label
+        assert (len(group) == math.factorial(a.rank)) == full, label
+        assert cert.size == len(expected) == len(cert.strong_orbit) * len(group), label
+        picks = np.array(list(itertools.permutations(range(n), a.rank)), dtype=np.int8)
+        rows = picks[:, list(a.kernel().class_ids)]
+        want = [Transformation(row.tolist()) in expected for row in rows]
+        assert cert.contains_products(rows).tolist() == want, label
 
 
 def test_certificate_words_replay():
@@ -394,6 +436,7 @@ def test_extend_group_matches_perm_closure():
     # the coset-by-coset closure against the plain one, adding random
     # generators one at a time, some of them already in the group
     rng = random.Random(71)
+    fired, truncated = [0, 0], 0
     for r in range(1, 8):
         for _ in range(6):
             rows = np.arange(r, dtype=np.int8)[None, :]
@@ -405,10 +448,18 @@ def test_extend_group_matches_perm_closure():
                 gens.append(np.array(perm, dtype=np.int8))
                 rows, encs = _extend_group(rows, encs, gens, r)
                 want = perm_closure([tuple(g.tolist()) for g in gens], r)
-                assert {tuple(row) for row in rows.tolist()} == want
-                assert len(rows) == len(want)
+                got = {tuple(row) for row in rows.tolist()}
+                # the closure stops past r!/2 elements exactly when the
+                # group is Sym(r); below that it is the whole group
+                stopped = 2 * len(rows) > math.factorial(r)
+                assert stopped == (len(want) == math.factorial(r))
+                assert got == want or (stopped and got < want)
+                assert len(rows) == len(got)
                 assert encs.tolist() == sorted(encode_rows_base(rows, r).tolist())
                 assert tuple(rows[0].tolist()) == tuple(range(r))
+                fired[stopped] += 1
+                truncated += len(got) < len(want)
+    assert min(fired) > 10 and truncated > 0
 
 
 # degrees 4-9; A7, A8 and A9 have at least 1024 elements, so their first
@@ -485,3 +536,104 @@ def test_sym8_certificate_memory_is_linear_in_the_induced_group():
         tracemalloc.stop()
     assert cert.size // len(cert.strong_orbit) == 40_320
     assert peak < 8 * 2**20
+
+
+def _brute_strong_orbit(gens, a):
+    """Image sets reachable from image(a) at rank r that reach it back."""
+    r = a.rank
+
+    def steps(points):
+        for g in gens:
+            moved = frozenset(g.images[p] for p in points)
+            if len(moved) == r:
+                yield moved
+
+    base = frozenset(a.images)
+    forward, todo = {base}, [base]
+    while todo:
+        for t in steps(todo.pop()):
+            if t not in forward:
+                forward.add(t)
+                todo.append(t)
+    back = {base}
+    grew = True
+    while grew:
+        grew = False
+        for s in forward - back:
+            if any(t in back for t in steps(s)):
+                back.add(s)
+                grew = True
+    return back
+
+
+def test_partial_tier_certificates_match_brute_force_set_searches():
+    # a partial tier T of a^G is not G-invariant, so its strong orbit,
+    # words and induced group are checked against plain set searches
+    rng = random.Random(1213)
+    cases = [("C5", 5), ("AGL(1,5)", 5), ("S5", 5), ("PSL(2,5)", 6), ("A6", 6),
+             ("AGL(1,7)", 7), ("A7", 7)]
+    closures = 0
+    for label, n in cases:
+        group = catalog(label, n)
+        checker = normalizing._MapChecker(group)
+        for _ in range(6):
+            a = _random_map_of_rank(rng, n, rng.randrange(2, n))
+            conj_encs = checker._conjugates(a)
+            size = rng.randrange(1, min(40, len(conj_encs)) + 1)
+            picked = rng.sample(range(len(conj_encs)), size)
+            encs = np.union1d(conj_encs[picked], a.encode())
+            conj = [Transformation(row.tolist()) for row in decode_encodings(encs, n)]
+            cert = r_class_certificate(conj, a)
+            assert cert.strong_orbit[0] == tuple(sorted(set(a.images)))
+            assert {frozenset(s) for s in cert.strong_orbit} == _brute_strong_orbit(conj, a)
+            assert len(set(cert.strong_orbit)) == len(cert.strong_orbit)
+            base = set(cert.strong_orbit[0])
+            for node, win, wback in zip(cert.strong_orbit, cert.words_in, cert.words_back):
+                cur = base
+                for k in win:
+                    cur = {conj[k].images[p] for p in cur}
+                assert cur == set(node), (label, a.images)
+                for k in wback:
+                    cur = {conj[k].images[p] for p in cur}
+                assert cur == base, (label, a.images)
+            grp = cert.induced_group()
+            candidates = candidate_permutations(conj, cert)
+            assert set(cert.induced_generators) <= candidates <= grp
+            assert cert.size == len(cert.strong_orbit) * len(grp)
+            if len(candidates) * len(grp) <= 100_000:
+                assert perm_closure(candidates, cert.rank) == grp, (label, a.images)
+                closures += 1
+    assert closures > 30
+
+
+# sha256 over the fields of three certificates over all of a^G under A9,
+# recorded before the certificate was built on its generators' image sets
+A9_FULL_TIER_DIGEST = "c83ff81f657fc1ce8b8a728d1ab55434f69ec80c9d122cf9f732e9a43d1af42d"
+
+
+@pytest.mark.slow
+def test_a9_full_tier_certificates_match_the_recorded_digest():
+    # |a^G| = 90,720 and 181,440: the least-generator table spans several
+    # chunks of generators, which the partial tiers of the digest above
+    # never do; each build stays well under 96 MiB
+    rng = random.Random(1)
+    group = catalog("A9", 9)
+    checker = normalizing._MapChecker(group)
+    h = hashlib.sha256()
+    for r in (4, 5, 6):
+        a = _random_map_of_rank(rng, 9, r)
+        rows = decode_encodings(checker._conjugates(a), 9)
+        tracemalloc.start()
+        try:
+            cert = certificate_from_matrix(rows, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 2**20, (r, peak)
+        prods = checker.M[:, np.array(a.images, dtype=np.int64)]
+        h.update(repr((
+            "A9", a.images, cert.strong_orbit, cert.words_in, cert.words_back,
+            cert.induced_generators, sorted(cert.induced_group()), cert.size,
+        )).encode())
+        h.update(np.packbits(cert.contains_products(prods)).tobytes())
+    assert h.hexdigest() == A9_FULL_TIER_DIGEST
