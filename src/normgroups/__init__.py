@@ -42,8 +42,6 @@ from .normalizing import (
     structural_filters,
 )
 from .semigroups import (
-    ClosureCapExceeded,
-    DEFAULT_CAP,
     RClassCertificate,
     TransSemigroup,
     in_r_class,
@@ -63,9 +61,7 @@ __all__ = [
     "CLASSIFICATION_TABLE",
     "CatalogError",
     "ClassificationReport",
-    "ClosureCapExceeded",
     "ConjugacySweep",
-    "DEFAULT_CAP",
     "FailureWitness",
     "FilterCheck",
     "FilterReport",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import re
+from math import factorial
 from typing import Sequence
 
 from .groups import PermutationGroup
@@ -300,7 +301,7 @@ def _build(canonical: str, degree: int) -> PermutationGroup:
             if degree > 9:
                 raise CatalogError(f"{canonical}: degrees above 9 are not materialized")
             gens = _symmetric(degree) if kind == "S" else _alternating(degree)
-            expected = _factorial(degree) if kind == "S" else max(1, _factorial(degree) // 2)
+            expected = factorial(degree) if kind == "S" else max(1, factorial(degree) // 2)
         elif re.match(r"^C(\d+)$", canonical):
             num = int(canonical[1:])
             if num != degree:
@@ -329,13 +330,6 @@ def catalog(label: str, degree: int) -> PermutationGroup:
     if degree < 1:
         raise CatalogError("degree must be at least 1")
     return _build(canonical_label(label, degree), degree)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 # classification candidates per degree, in report order

@@ -36,6 +36,7 @@ from .normalizing import (
     is_normalizing,
     m12_witness_check,
     structural_filters,
+    sweep_cache_path,
 )
 from .transform import ParseError, Permutation, Transformation
 
@@ -138,13 +139,7 @@ def _resolve_cache(args, group: PermutationGroup, rank: int | None) -> str | Non
     if path:
         return path
     root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    from .catalog import catalog_hash
-
-    tag = f"-rank{rank}" if rank is not None else ""
-    return os.path.join(root, f"deg{group.degree}{tag}-{catalog_hash(group)}.sweep")
+    return sweep_cache_path(root, group, rank) if root else None
 
 
 def cmd_check(args) -> int:

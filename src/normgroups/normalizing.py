@@ -95,6 +95,7 @@ from .bitset import Bitmap
 from .catalog import catalog, catalog_hash, catalog_labels
 from .groups import PermutationGroup
 from .semigroups import (
+    _MAX_VECTOR_DEGREE,
     TransSemigroup,  # not called here; perfbench/tracer.py wraps this name
     _popcounts,
     certificate_from_matrix,
@@ -274,6 +275,11 @@ def _conjugate_encodings(M: np.ndarray, Minv: np.ndarray, a: Transformation) -> 
 def _require_singular(group: PermutationGroup, a: Transformation) -> None:
     if a.degree != group.degree:
         raise ValueError(f"degree mismatch: map {a.degree}, group {group.degree}")
+    if a.degree > _MAX_VECTOR_DEGREE:
+        raise ValueError(
+            f"degree {a.degree}: map checks stop at degree {_MAX_VECTOR_DEGREE}; "
+            f"the int64 encodings of larger maps overflow"
+        )
     if a.is_permutation():
         raise ValueError("the map must be singular (rank < degree)")
 
@@ -706,8 +712,6 @@ class ConjugacySweep:
         to the filtered rank counted orbits of other ranks too, and is
         refused by that rule.  The cache must also name the same coset
         representatives: [N:G] and a digest of their rows.
-        A cache whose meta["inconclusive"] lists maps comes from a run
-        with a capped closure stage; those maps were never decided.
         """
         sweep = cls(group, rank=rank, cosets=cosets)
         with open(path, "rb") as fh:
@@ -739,12 +743,6 @@ class ConjugacySweep:
                 f"marks {marked} maps including {factorial(sweep.degree)} permutations; "
                 f"the cache is corrupt, delete {path} and rerun"
             )
-        undecided = sweep.meta.get("inconclusive")
-        if undecided:
-            raise SweepCacheMismatch(
-                f"cache field 'meta.inconclusive' lists {len(undecided)} maps an older, "
-                f"capped run left undecided; delete {path} and rerun"
-            )
         checked = sweep.meta.get("checked", 0)
         if checked != sweep.orbits:
             raise SweepCacheMismatch(
@@ -753,6 +751,16 @@ class ConjugacySweep:
                 f"counted other ranks, delete {path} and rerun"
             )
         return sweep
+
+
+def sweep_cache_path(cache_dir: str, group: PermutationGroup, rank: int | None = None) -> str:
+    """The cache file of a sweep of group (of one rank, if given) in cache_dir.
+
+    Creates cache_dir if it does not exist.
+    """
+    os.makedirs(cache_dir, exist_ok=True)
+    tag = f"-rank{rank}" if rank is not None else ""
+    return os.path.join(cache_dir, f"deg{group.degree}{tag}-{catalog_hash(group)}.sweep")
 
 
 def conjugacy_orbit_reps(
@@ -1256,12 +1264,7 @@ def classify(
             if v.status == STATUS_NOT:
                 verdicts.append(replace(v, trace=("fixture",) + v.trace))
                 continue
-        cache_path = None
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
-            cache_path = os.path.join(
-                cache_dir, f"deg{n}-{catalog_hash(group)}.sweep"
-            )
+        cache_path = sweep_cache_path(cache_dir, group) if cache_dir else None
         verdicts.append(
             is_normalizing(
                 group, workers=workers, cache_path=cache_path,

@@ -53,11 +53,9 @@ a map takes on a transversal of the kernel.
 
 TransSemigroup is the exact oracle the tests compare both with: a
 breadth-first closure taking left and right products each round,
-deduplicated through the integer encodings (a packed bitmap over all
-n**n encodings for degree <= 9, a sorted encoding array beyond that).
-It stops at a configurable element cap; a capped semigroup still
-answers positive membership for anything already seen but refuses to
-certify absence.
+deduplicated through a packed bitmap over all n**n encodings, so it
+refuses degrees above 9.  It has no element cap: it grows until the
+frontier is empty, or, for a membership query, until the map turns up.
 """
 from __future__ import annotations
 
@@ -71,21 +69,7 @@ import numpy as np
 from .bitset import Bitmap
 from .transform import Transformation
 
-DEFAULT_CAP = 50_000_000
-
-# encodings are int64; beyond degree 15 the digit polynomial overflows
-_MAX_VECTOR_DEGREE = 15
-_BITMAP_DEGREE = 9
 _CANDIDATE_ROW_BUDGET = 4_000_000
-
-
-class ClosureCapExceeded(RuntimeError):
-    """Membership undecidable: enumeration stopped at the element cap."""
-
-    def __init__(self, cap: int, count: int):
-        self.cap = cap
-        self.count = count
-        super().__init__(f"closure stopped at cap {cap} with {count} elements")
 
 
 @functools.lru_cache(maxsize=None)
@@ -93,6 +77,10 @@ def power_vector(n: int) -> np.ndarray:
     v = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     v.setflags(write=False)
     return v
+
+
+# encodings are int64; beyond degree 15 the digit polynomial overflows
+_MAX_VECTOR_DEGREE = 15
 
 
 def encode_rows(rows: np.ndarray) -> np.ndarray:
@@ -111,10 +99,9 @@ class TransSemigroup:
         self,
         generators: Sequence[Transformation],
         *,
-        cap: int = DEFAULT_CAP,
         min_rank: int | None = None,
     ):
-        """Grow the closure of `generators`.
+        """Start the closure of `generators`, which grows as it is queried.
 
         With `min_rank` set, products of lower rank are discarded as they
         appear.  Multiplication never raises rank, so every member of rank
@@ -132,22 +119,18 @@ class TransSemigroup:
                 raise TypeError(f"generator {g!r} is not a Transformation")
             if g.degree != n:
                 raise ValueError(f"degree mismatch: {g.degree} vs {n}")
-        if n > _MAX_VECTOR_DEGREE:
-            raise ValueError(f"degrees above {_MAX_VECTOR_DEGREE} are not supported")
+        if n > 9:
+            need = n**n / 8 / 2**30
+            raise ValueError(
+                f"degree {n} needs a {need:.1f} GiB bitmap; closures stop at degree 9"
+            )
         if min_rank is not None and not 1 <= min_rank <= n:
             raise ValueError(f"min_rank {min_rank} out of range for degree {n}")
         self.generators = gens
         self.degree = n
-        self.cap = cap
         self.min_rank = min_rank
         self._gen_matrix = np.array([g.images for g in gens], dtype=np.int8)
-        self._capped = False
-        if n <= _BITMAP_DEGREE:
-            self._seen_bitmap: Bitmap | None = Bitmap(n**n)
-            self._seen_sorted: np.ndarray | None = None
-        else:
-            self._seen_bitmap = None
-            self._seen_sorted = np.empty(0, dtype=np.int64)
+        self._seen = Bitmap(n**n)
         self._enc_chunks: list[np.ndarray] = []
         self._count = 0
         # round 0: the generators themselves
@@ -155,27 +138,9 @@ class TransSemigroup:
         uniq, first = np.unique(gen_encs, return_index=True)
         order = np.argsort(first)
         uniq, first = uniq[order], first[order]
-        self._mark(uniq)
+        self._seen.set_batch(uniq)
         self._append(uniq)
         self._frontier = self._gen_matrix[first]
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    def _mark(self, encs: np.ndarray) -> None:
-        if self._seen_bitmap is not None:
-            self._seen_bitmap.set_batch(encs)
-        else:
-            self._seen_sorted = np.union1d(self._seen_sorted, encs)
-
-    def _unseen(self, encs: np.ndarray) -> np.ndarray:
-        if self._seen_bitmap is not None:
-            return ~self._seen_bitmap.test_batch(encs)
-        return ~np.isin(encs, self._seen_sorted)
-
-    def _seen_one(self, enc: int) -> bool:
-        if self._seen_bitmap is not None:
-            return self._seen_bitmap.test(enc)
-        return bool(np.isin(enc, self._seen_sorted))
 
     def _append(self, encs: np.ndarray) -> None:
         self._enc_chunks.append(encs)
@@ -185,18 +150,15 @@ class TransSemigroup:
 
     @property
     def complete(self) -> bool:
-        return self._frontier.shape[0] == 0 and not self._capped
-
-    @property
-    def capped(self) -> bool:
-        return self._capped
+        """True once the frontier is empty: every element has been found."""
+        return self._frontier.shape[0] == 0
 
     def __len__(self) -> int:
         return self._count
 
     def close(self) -> "TransSemigroup":
-        """Run closure rounds until finished or the cap is reached."""
-        while self._frontier.shape[0] and not self._capped:
+        """Run closure rounds until the frontier is empty."""
+        while self._frontier.shape[0]:
             self._advance_round()
         return self
 
@@ -215,7 +177,7 @@ class TransSemigroup:
             left = np.concatenate([F[:, g.astype(np.int64)] for g in gm])
             cand = np.concatenate([right, left])
             encs = encode_rows(cand)
-            fresh = self._unseen(encs)
+            fresh = ~self._seen.test_batch(encs)
             if not fresh.any():
                 continue
             cand, encs = cand[fresh], encs[fresh]
@@ -227,23 +189,19 @@ class TransSemigroup:
                     continue
                 cand, encs = cand[tall], encs[tall]
             uniq, first = np.unique(encs, return_index=True)
-            self._mark(uniq)
+            self._seen.set_batch(uniq)
             keep = np.sort(first)
             self._append(encs[keep])
             new_rows.append(cand[keep])
-            if self._count > self.cap:
-                break
         if new_rows:
             self._frontier = np.concatenate(new_rows)
         else:
             self._frontier = np.empty((0, self.degree), dtype=np.int8)
-        if self._count > self.cap:
-            self._capped = True
 
     # -- membership and enumeration -------------------------------------------
 
     def contains(self, t: Transformation) -> bool:
-        """True/False membership; raises ClosureCapExceeded when unknowable."""
+        """Membership, growing the closure until t turns up or it is complete."""
         if t.degree != self.degree:
             raise ValueError(f"degree mismatch: {t.degree} vs {self.degree}")
         if self.min_rank is not None and t.rank < self.min_rank:
@@ -251,15 +209,11 @@ class TransSemigroup:
                 f"rank {t.rank} below min_rank {self.min_rank}: not tracked"
             )
         enc = t.encode()
-        if self._seen_one(enc):
-            return True
-        while self._frontier.shape[0] and not self._capped:
+        while not self._seen.test(enc):
+            if not self._frontier.shape[0]:
+                return False
             self._advance_round()
-            if self._seen_one(enc):
-                return True
-        if self._capped:
-            raise ClosureCapExceeded(self.cap, self._count)
-        return False
+        return True
 
     def __contains__(self, t: Transformation) -> bool:
         return self.contains(t)
@@ -272,8 +226,6 @@ class TransSemigroup:
 
     def elements(self) -> Iterator[Transformation]:
         self.close()
-        if self._capped:
-            raise ClosureCapExceeded(self.cap, self._count)
         for chunk in self._enc_chunks:
             for row in decode_encodings(chunk, self.degree):
                 yield Transformation(int(v) for v in row)
@@ -290,8 +242,6 @@ class TransSemigroup:
     def idempotents(self) -> tuple[Transformation, ...]:
         self._require_full()
         self.close()
-        if self._capped:
-            raise ClosureCapExceeded(self.cap, self._count)
         out: list[Transformation] = []
         for chunk in self._enc_chunks:
             rows = decode_encodings(chunk, self.degree)
@@ -305,7 +255,7 @@ class TransSemigroup:
         idems = self.idempotents()
         if not idems:
             return False
-        sub = TransSemigroup(idems, cap=self.cap)
+        sub = TransSemigroup(idems)
         sub.close()
         return len(sub) == len(self)
 
@@ -319,22 +269,16 @@ class TransSemigroup:
         """
         self._require_full()
         self.close()
-        if self._capped:
-            raise ClosureCapExceeded(self.cap, self._count)
         rows = np.concatenate(
             [decode_encodings(c, self.degree) for c in self._enc_chunks]
         )
         n = self.degree
         restrictions: dict[tuple[int, ...], np.ndarray] = {}
         achievable: dict[tuple, set[int]] = {}
-        rpow_cache: dict[int, np.ndarray] = {}
         for x in rows:
             img = tuple(int(v) for v in np.unique(x))
             r = len(img)
-            rpow = rpow_cache.get(r)
-            if rpow is None:
-                rpow = r ** np.arange(r - 1, -1, -1, dtype=np.int64)
-                rpow_cache[r] = rpow
+            rpow = power_vector(r)
             # kernel class ids in first-appearance order
             cls = np.empty(n, dtype=np.int64)
             ids: dict[int, int] = {}
@@ -523,9 +467,9 @@ class RClassCertificate:
         # often complete there
         full = factorial(r)
         group_rows = np.arange(r, dtype=np.int8)[None, :]
-        group_encs = encode_rows_base(group_rows, r)
+        group_encs = encode_rows(group_rows)
         absent = r**r  # above every encoding
-        pw = r ** np.arange(r - 1, -1, -1, dtype=np.int64)[:, None]
+        pw = power_vector(r)[:, None]
         lands = t_scc[tgt]  # node each grouped generator's step returns from
         step = max(1, _CANDIDATE_ROW_BUDGET // (m * r))
         self._gens: list[np.ndarray] = []
@@ -602,7 +546,7 @@ class RClassCertificate:
             return out
         tb = self._t_back[nodes[found]].astype(np.int64)
         pis = self._pos_of[np.take_along_axis(tb, xi[found], axis=1)]
-        out[found] = isin_sorted(encode_rows_base(pis, self.rank), self._group_encs)
+        out[found] = isin_sorted(encode_rows(pis), self._group_encs)
         return out
 
 
@@ -613,13 +557,6 @@ def _tree_word(parent: list[int], via: list[int], i: int) -> tuple[int, ...]:
         out.append(via[i])
         i = parent[i]
     return tuple(out)
-
-
-def encode_rows_base(rows: np.ndarray, base: int) -> np.ndarray:
-    if base == 1:
-        return np.zeros(rows.shape[0], dtype=np.int64)
-    pow_vec = base ** np.arange(base - 1, -1, -1, dtype=np.int64)
-    return rows.astype(np.int64) @ pow_vec
 
 
 def _mask(points: np.ndarray) -> np.ndarray:
@@ -666,7 +603,7 @@ def _extend_group(
     holds more than r!/2 elements: by Lagrange the group is then Sym(r),
     and only those elements are returned.
     """
-    pw = r ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    pw = power_vector(r)
     full = factorial(r)
     known = set(encs.tolist())
     blocks, enc_blocks = [rows], [encs]

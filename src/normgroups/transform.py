@@ -74,9 +74,6 @@ class KernelPartition:
     def degree(self) -> int:
         return len(self.class_ids)
 
-    def class_of(self, point: int) -> int:
-        return self.class_ids[point]
-
     def classes(self) -> list[tuple[int, ...]]:
         """Classes as point tuples, ordered by class id."""
         out: list[list[int]] = [[] for _ in range(self.num_classes)]

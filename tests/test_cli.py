@@ -95,6 +95,15 @@ def test_group_file_input(tmp_path, capsys):
     assert payload["group"] == "c5.txt"
 
 
+def test_check_refuses_degree_past_the_int64_encoding(tmp_path, capsys):
+    path = tmp_path / "c17.txt"
+    path.write_text("(" + " ".join(str(p) for p in range(1, 18)) + ")\n")
+    code, _, err = run(capsys, "check", "--degree", "17", "--group-file", str(path),
+                       "--map", ",".join(["1"] * 9 + [str(p) for p in range(2, 10)]))
+    assert code == 2
+    assert "map checks stop at degree 15" in err
+
+
 # -- sweeps ------------------------------------------------------------------
 
 

@@ -621,6 +621,23 @@ def test_degree_mismatch_and_permutation_rejected():
         check_pair(group, Transformation.parse("1,1,2,3"), Permutation.parse("(1 2 3 4 5)"))
 
 
+@pytest.mark.parametrize("call", ["check", "check_pair", "section", "class"])
+def test_checks_refuse_degrees_past_the_int64_encoding(call):
+    # encodings of degree-17 maps overflow int64: a check used to read the
+    # conjugates back as garbage rows and fail on "every generator must
+    # have rank 9"
+    group = catalog("C17", 17)
+    a = Transformation.from_one_based([1] * 9 + list(range(2, 10)))
+    runs = {
+        "check": lambda: is_a_normalizing(group, a),
+        "check_pair": lambda: check_pair(group, a, group.generators[0]),
+        "section": lambda: exists_section_mapper(group, a),
+        "class": lambda: is_class_normalizing(group, a),
+    }
+    with pytest.raises(ValueError, match="map checks stop at degree 15"):
+        runs[call]()
+
+
 def test_check_pair_rejects_foreign_permutation():
     group = catalog("C5", 5)
     with pytest.raises(ValueError):
@@ -812,10 +829,6 @@ def test_load_refuses_inconsistent_cache(tmp_path):
             ("meta.checked", lambda h: h["meta"].update(checked=h["orbits"] + 1), body),
             ("meta.checked", lambda h: h["meta"].update(checked=2), body),
         ]
-        # an older run with a capped closure stage left these maps undecided
-        corruptions.append(
-            ("meta.inconclusive", lambda h: h["meta"].update(inconclusive=[h["cursor"] - 1]), body)
-        )
         for field, mutate, raw in corruptions:
             h = json.loads(header)
             mutate(h)
@@ -939,7 +952,7 @@ def test_resume_preserves_verdict(tmp_path):
     stream = iter(sweep)
     checker_reps = [next(stream) for _ in range(100)]
     assert len(checker_reps) == 100
-    sweep.meta.update(checked=sweep.orbits, inconclusive=[])
+    sweep.meta.update(checked=sweep.orbits)
     sweep.save(path)
     resumed = is_normalizing(group, cache_path=path)
     assert resumed.status == fresh.status

@@ -10,12 +10,11 @@ import pytest
 from normgroups import normalizing
 from normgroups.catalog import catalog
 from normgroups.semigroups import (
-    ClosureCapExceeded,
     TransSemigroup,
     _extend_group,
     certificate_from_matrix,
     decode_encodings,
-    encode_rows_base,
+    encode_rows,
     in_r_class,
     kernel_members,
     r_class_certificate,
@@ -88,19 +87,18 @@ def test_contains_and_degree_checks():
         TransSemigroup([a, Transformation.parse("1,1")])
 
 
-def test_cap_gives_tristate_membership():
+def test_closure_refuses_degrees_above_9():
+    # the seen-bitmap takes n**n bits
+    with pytest.raises(ValueError, match="closures stop at degree 9"):
+        TransSemigroup([Transformation.parse("1,1,2,3,4,5,6,7,8,9")])
+
+
+def test_closure_generates_all_of_t4():
     gens = [
         Permutation.parse("(1 2)", 4),
         Permutation.parse("(1 2 3 4)"),
         Transformation.parse("1,1,2,3"),
     ]
-    s = TransSemigroup(gens, cap=10)
-    s.close()
-    assert s.capped and not s.complete
-    assert len(s) > 10
-    assert s.contains(gens[2])  # already seen
-    with pytest.raises(ClosureCapExceeded):
-        s.contains(Transformation.parse("4,4,4,4"))
     full = TransSemigroup(gens).close()
     assert full.complete and len(full) == 256
 
@@ -440,7 +438,7 @@ def test_extend_group_matches_perm_closure():
     for r in range(1, 8):
         for _ in range(6):
             rows = np.arange(r, dtype=np.int8)[None, :]
-            encs = encode_rows_base(rows, r)
+            encs = encode_rows(rows)
             gens: list[np.ndarray] = []
             for _ in range(rng.randrange(1, 4)):
                 perm = list(range(r))
@@ -455,7 +453,7 @@ def test_extend_group_matches_perm_closure():
                 assert stopped == (len(want) == math.factorial(r))
                 assert got == want or (stopped and got < want)
                 assert len(rows) == len(got)
-                assert encs.tolist() == sorted(encode_rows_base(rows, r).tolist())
+                assert encs.tolist() == sorted(encode_rows(rows).tolist())
                 assert tuple(rows[0].tolist()) == tuple(range(r))
                 fired[stopped] += 1
                 truncated += len(got) < len(want)
