@@ -45,7 +45,6 @@ from .semigroups import (
     RClassCertificate,
     TransSemigroup,
     in_r_class,
-    r_class_certificate,
 )
 from .transform import (
     KernelPartition,
@@ -95,7 +94,6 @@ __all__ = [
     "is_k_normalizing",
     "is_normalizing",
     "m12_witness_check",
-    "r_class_certificate",
     "structural_filters",
     "__version__",
 ]

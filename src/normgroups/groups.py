@@ -10,9 +10,9 @@ reports.
 The element matrix (one row per element, one column per point) is the
 workhorse for the vectorized callers in the normalizing machinery, and
 its sorted rows answer membership by binary search.  Orbits here are
-point orbits and orbits on point sets; the conjugation orbit a^G of a
-map is read from the element matrix and its inverse rows, by
-normalizing._conjugate_encodings.
+point orbits and orbits on point sets, the latter labeled once per group
+by subset_orbits; the conjugation orbit a^G of a map is read from the
+element matrix alone, by normalizing._conjugate_encodings.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class PermutationGroup:
         return self._matrix
 
     def inverse_matrix(self) -> np.ndarray:
-        """Row i is the inverse of element_matrix row i."""
+        """Row i is the inverse of element_matrix row i; only perfbench's set-up builds it."""
         if self._inverse_matrix is None:
             m = self.element_matrix()
             inv = np.empty_like(m)
@@ -263,21 +263,21 @@ class PermutationGroup:
 
         True iff for all |I| = i and |J| = j there is g with I*g a subset
         of J.  On failure returns the witness pair (I, J), both 0-based
-        sorted tuples, least in lexicographic scan order.
+        sorted tuples, least in lexicographic scan order.  The orbit of
+        each I is read from the subset_orbits labels, once per orbit.
         """
         n = self.degree
         if not 1 <= i <= j <= n:
             raise ValueError(f"need 1 <= i <= j <= degree, got i={i} j={j} n={n}")
-        m = self.element_matrix().astype(np.int64)
+        label = self.subset_orbits()
         all_j = [sum(1 << p for p in J) for J in itertools.combinations(range(n), j)]
         seen: set[int] = set()
         for I in itertools.combinations(range(n), i):
-            mask = sum(1 << p for p in I)
-            if mask in seen:
+            root = int(label[sum(1 << p for p in I)])
+            if root in seen:
                 continue
-            cols = m[:, I]
-            orbit_masks = np.unique(np.bitwise_or.reduce(1 << cols, axis=1))
-            seen.update(int(v) for v in orbit_masks)
+            seen.add(root)
+            orbit_masks = np.flatnonzero(label == root)
             for jmask in all_j:
                 if not np.any((orbit_masks & ~jmask) == 0):
                     J = tuple(p for p in range(n) if (jmask >> p) & 1)

@@ -12,7 +12,9 @@ groups.
 Every conjugation orbit a^G here, the conjugates a check tests against,
 an orbit a sweep crosses off and a G-orbit inside an S_n-class, comes
 from _conjugate_encodings: a conjugated by every row of the element
-matrix, sorted and deduplicated, least member first.
+matrix, sorted and deduplicated, least member first.  Every conjugate,
+of a map or of a permutation, comes from one scatter, _conjugate_rows,
+which needs no inverse rows.
 
 Each map is checked on its distinct products only: a*g depends only on g
 on I = image(a), so aG has |G : G_(I)| members, G_(I) the pointwise
@@ -97,6 +99,7 @@ from .groups import PermutationGroup
 from .semigroups import (
     _MAX_VECTOR_DEGREE,
     TransSemigroup,  # not called here; perfbench/tracer.py wraps this name
+    _mask,
     _popcounts,
     certificate_from_matrix,
     decode_encodings,
@@ -256,17 +259,34 @@ def _section_target(group: PermutationGroup, a: Transformation) -> int:
     return int(sections[hits[0]]) if hits.size else -1
 
 
-def _conjugate_encodings(M: np.ndarray, Minv: np.ndarray, a: Transformation) -> np.ndarray:
-    """Sorted distinct encodings of a^g for the element rows M (inverse rows Minv).
+def _conjugate_rows(maps: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Row i is p^-1 a p, for a = maps[i] and p = perms[i], as int8 rows.
 
-    With the rows of a group this is the orbit a^G, least member first:
-    the one routine that builds a conjugation orbit of maps, for the
-    checker, the sweep and the class sweep alike.  Deduplicated by a sort
-    and an adjacent-difference flag, which returns what np.unique would
-    without its hashing pass.
+    p^-1 a p sends p(x) to p(a(x)), so each row is one scatter through p,
+    out[i, p[x]] = p[a[x]], and no inverse of p is needed.  Either side
+    may be a single row, taken with every row of the other; the single
+    row is used as an index as it is, never broadcast into a copy.
+    """
+    if perms.ndim == 1:
+        out = np.empty_like(maps)
+        out[:, perms] = perms[maps]
+        return out
+    out = np.empty_like(perms)
+    out[np.arange(perms.shape[0])[:, None], perms] = perms[:, maps]
+    return out
+
+
+def _conjugate_encodings(perms: np.ndarray, a: Transformation) -> np.ndarray:
+    """Sorted distinct encodings of a^p for the permutation rows perms.
+
+    With the element matrix of a group this is the orbit a^G, least
+    member first: the one routine that builds a conjugation orbit of
+    maps, for the checker, the sweep and the class sweep alike.
+    Deduplicated by a sort and an adjacent-difference flag, which returns
+    what np.unique would without its hashing pass.
     """
     a8 = np.array(a.images, dtype=np.int8)
-    encs = np.sort(encode_rows(np.take_along_axis(M, a8[Minv], axis=1)))
+    encs = np.sort(encode_rows(_conjugate_rows(a8, perms)))
     keep = np.ones(encs.shape[0], dtype=bool)
     np.not_equal(encs[1:], encs[:-1], out=keep[1:])
     return encs[keep]
@@ -293,7 +313,7 @@ class _MapChecker:
 
     def _conjugates(self, a: Transformation) -> np.ndarray:
         """Sorted distinct encodings of all of a^G: one pass over G."""
-        return _conjugate_encodings(self.M, self.group.inverse_matrix(), a)
+        return _conjugate_encodings(self.M, a)
 
     def _conjugate_tiers(self, a: Transformation) -> Iterator[np.ndarray]:
         """Sorted encodings of the growing subsets T of a^G the r-class stage tries.
@@ -311,8 +331,7 @@ class _MapChecker:
         order = self.M.shape[0]
         size = _TIER_FIRST
         while _TIER_CUTOFF * size <= order:
-            rows = self.M[np.arange(size) * order // size]
-            tier = _conjugate_encodings(rows, np.argsort(rows, axis=1), a)
+            tier = _conjugate_encodings(self.M[np.arange(size) * order // size], a)
             if size > _TIER_FIRST and 8 * tier.shape[0] < 7 * size:
                 break
             yield tier
@@ -395,9 +414,7 @@ def exists_section_mapper(group: PermutationGroup, a: Transformation) -> Permuta
         return None
     # h(image) is a section exactly when it meets every kernel class
     classes = np.array(a.kernel().class_ids, dtype=np.int64)
-    hit = np.bitwise_or.reduce(
-        np.int64(1) << classes[group.element_matrix()[:, list(a.image())]], axis=1
-    )
+    hit = _mask(classes[group.element_matrix()[:, list(a.image())]])
     return group.elements()[int(np.argmax(hit == (1 << a.rank) - 1))]
 
 
@@ -505,9 +522,7 @@ def _normalizer_cosets(group: PermutationGroup) -> np.ndarray:
         return rows[:1]
     members = np.sort(encode_rows(M))
     for g in group.generators:
-        # p^-1 s p maps p(x) to p(s(x)): scatter instead of inverting p
-        conj = np.empty_like(rows)
-        np.put_along_axis(conj, rows.astype(np.intp), rows[:, list(g.images)], axis=1)
+        conj = _conjugate_rows(np.array(g.images, dtype=np.int8), rows)
         rows = rows[isin_sorted(encode_rows(conj), members)]
     encs = encode_rows(rows)
     covered = np.zeros(rows.shape[0], dtype=bool)
@@ -542,13 +557,13 @@ class ConjugacySweep:
     the default, the identity alone, gives the G-orbits.  An H-orbit is
     the G-orbit of its least member a, read from the element matrix by
     _conjugate_encodings and marked by one set_batch, followed by
-    (a^t)^G = (a^G)^t for each other representative t, one vectorized
-    conjugation of the G-orbit each, skipped when a^t is already marked
-    (the bitmap holds whole G-orbits).  orbits counts G-orbits and
-    singular_seen maps, so both mean the same for every coset set.  A
-    sweep under N loses nothing, since conjugation by N preserves every
-    verdict; the module docstring gives the proof and how a failure's
-    `checked` is recounted over the G-orbits.
+    (a^t)^G = (a^G)^t for each other representative t, the G-orbit's rows
+    conjugated by t in one _conjugate_rows call, skipped when a^t is
+    already marked (the bitmap holds whole G-orbits).  orbits counts
+    G-orbits and singular_seen maps, so both mean the same for every
+    coset set.  A sweep under N loses nothing, since conjugation by N
+    preserves every verdict; the module docstring gives the proof and how
+    a failure's `checked` is recounted over the G-orbits.
     State (bitmap, cursor, counters, metadata) can be saved and resumed.
     """
 
@@ -583,26 +598,20 @@ class ConjugacySweep:
         self.meta: dict = {}
         self.bitmap = Bitmap(self.total)
         self.bitmap.set_batch(encode_rows(_permutation_rows(n)))
-        self._matrices = (group.element_matrix(), group.inverse_matrix())
+        self._matrix = group.element_matrix()
         if cosets is None:
             cosets = np.arange(n, dtype=np.int8)[None, :]
         self.cosets = np.ascontiguousarray(cosets, dtype=np.int8)
-        # (t, t^-1) as int64 rows for every representative but the identity
-        self._twists = []
-        for t in self.cosets[1:].astype(np.int64):
-            tinv = np.empty_like(t)
-            tinv[t] = np.arange(n)
-            self._twists.append((t, tinv))
 
     def _expand(self, enc: int) -> tuple[int, int]:
         """Mark the orbit of the unmarked map enc: (G-orbits in it, maps in it)."""
-        orbit = _conjugate_encodings(*self._matrices, Transformation.decode(self.degree, enc))
+        orbit = _conjugate_encodings(self._matrix, Transformation.decode(self.degree, enc))
         self.bitmap.set_batch(orbit)
         found, size = 1, orbit.shape[0]
-        if self._twists:
+        if self.cosets.shape[0] > 1:
             rows = decode_encodings(orbit, self.degree)
-            for t, tinv in self._twists:
-                image = encode_rows(t[rows[:, tinv]])  # row i is (orbit[i])^t
+            for t in self.cosets[1:]:
+                image = encode_rows(_conjugate_rows(rows, t))  # row i is (orbit[i])^t
                 if not self.bitmap.test(int(image[0])):
                     self.bitmap.set_batch(image)
                     found += 1
@@ -644,7 +653,7 @@ class ConjugacySweep:
         a singleton (order-one group, one coset) this marks whole candidate
         chunks at once instead of walking 387 million one-map orbits.
         """
-        if self.group.order() == 1 and not self._twists:
+        if self.group.order() == 1 and self.cosets.shape[0] == 1:
             for chunk in _rank_walk(self.degree, self.rank)(self.cursor):
                 fresh = self.bitmap.filter_unset(chunk)
                 self.bitmap.set_batch(fresh)
@@ -982,15 +991,14 @@ def is_class_normalizing(group: PermutationGroup, a: Transformation) -> Normaliz
     n = group.degree
     if n > MAX_SWEEP_DEGREE:
         raise ValueError(f"class sweeps stop at degree {MAX_SWEEP_DEGREE}")
-    sym = _permutation_rows(n)
-    class_encs = _conjugate_encodings(sym, np.argsort(sym, axis=1), a)
-    M, Minv = group.element_matrix(), group.inverse_matrix()
+    class_encs = _conjugate_encodings(_permutation_rows(n), a)
+    M = group.element_matrix()
     covered = np.zeros(class_encs.shape[0], dtype=bool)
     reps: list[Transformation] = []
     for i, enc in enumerate(class_encs.tolist()):
         if not covered[i]:
             rep = Transformation.decode(n, enc)
-            covered[np.searchsorted(class_encs, _conjugate_encodings(M, Minv, rep))] = True
+            covered[np.searchsorted(class_encs, _conjugate_encodings(M, rep))] = True
             reps.append(rep)
     checker = _MapChecker(group)
     # mapper-free representatives decide via the exact shortcut; try them first
@@ -1027,11 +1035,7 @@ def m12_witness_check() -> NormalizingVerdict:
     pair = _MapChecker(group).check_pair(a, g)
     if pair.status != STATUS_NOT:
         raise RuntimeError("M12 witness pair unexpectedly inside the semigroup")
-    return NormalizingVerdict(
-        STATUS_NOT, group.label, map=a,
-        witness=FailureWitness(g, REASON_CONJUGATE), trace=("shortcut",),
-        checked=1, seconds=time.perf_counter() - t0,
-    )
+    return replace(pair, seconds=time.perf_counter() - t0)
 
 
 # -- structural filters ----------------------------------------------------------

@@ -3,15 +3,15 @@
 The decision engine asks one question of a semigroup <T> generated by
 maps of one rank r: which products a*g lie in it.  Two tools answer.
 
-certificate_from_matrix (and r_class_certificate) builds what is needed
-to test membership in the R-class of a directly: the strong orbit of
-image(a) under right multiplication by the generators (the sets
-reachable from image(a) that can also reach back), one word into and
-one word back per orbit member, and the induced stabilizer group,
-generated by the permutations that "enter at a node, step along an
-edge, and return" induce on image(a).  contains_products then needs
-only a strong-orbit lookup and one sorted-table search per product, and
-only the lookup when the induced group is all of Sym(r).
+certificate_from_matrix builds what is needed to test membership in
+the R-class of a directly: the strong orbit of image(a) under right
+multiplication by the generators (the sets reachable from image(a) that
+can also reach back), one word into and one word back per orbit member,
+and the induced stabilizer group, generated by the permutations that
+"enter at a node, step along an edge, and return" induce on image(a).
+contains_products then needs only a strong-orbit lookup and one
+sorted-table search per product, and only the lookup when the induced
+group is all of Sym(r).
 
 Every generator has the anchor's rank r, so a step S -> c(S) that keeps
 r points lands on image(c): the target of an edge is its generator's
@@ -312,11 +312,13 @@ class TransSemigroup:
 class RClassCertificate:
     """Everything needed to test membership in the R-class of anchor.
 
-    Every generator must have the anchor's rank r; another rank raises
-    ValueError.  Building it runs the whole search but keeps arrays
-    only: the strong orbit node of every image mask, the transform back
-    to image(anchor) from every node, and the sorted encodings of the
-    induced group, or only the fact that it is all of Sym(r).
+    The generator matrix must hold at least one row, its rows must have
+    the anchor's degree, at most 15, and every generator must have the
+    anchor's rank r; anything else raises ValueError.  Building it runs
+    the whole search but keeps arrays only: the strong orbit node of
+    every image mask, the transform back to image(anchor) from every
+    node, and the sorted encodings of the induced group, or only the
+    fact that it is all of Sym(r).
     strong_orbit, the words, induced_generators and the rows of a full
     induced group are read from these and the two search trees on first
     use, since membership tests need none of them.
@@ -341,6 +343,12 @@ class RClassCertificate:
     def __init__(self, gen_matrix: np.ndarray, anchor: Transformation):
         Gm = gen_matrix
         m, n = Gm.shape
+        if m == 0:
+            raise ValueError("a certificate needs at least one generator")
+        if n != anchor.degree:
+            raise ValueError(f"degree mismatch: generators {n}, anchor {anchor.degree}")
+        if n > _MAX_VECTOR_DEGREE:
+            raise ValueError(f"degree {n}: certificates stop at degree {_MAX_VECTOR_DEGREE}")
         a = np.array(anchor.images, dtype=np.int8)
         self.anchor = anchor
         # image(a) sorted, and the least preimage of each of its points
@@ -349,7 +357,7 @@ class RClassCertificate:
         pos_of = self._pos_of = np.full(n, -1, dtype=np.int8)
         pos_of[img] = np.arange(r, dtype=np.int8)
         popcounts = _popcounts(n)
-        gen_masks = np.bitwise_or.reduce(np.left_shift(1, Gm, dtype=np.int32), axis=1)
+        gen_masks = _mask(Gm)
         if np.any(popcounts[gen_masks] != r):
             raise ValueError(f"every generator must have rank {r}")
 
@@ -367,21 +375,21 @@ class RClassCertificate:
         is_target[base] = True
         masks = np.flatnonzero(is_target)
         nt = masks.shape[0]
-        # at most C(16, 8) < 2**15 targets up to degree 16: int16 numbers
-        # them, and the stable sort of int16 keys is a radix sort
+        # up to degree 15, int16 holds every mask and numbers the at most
+        # C(15, 7) < 2**15 targets, and the stable sort of int16 keys is a
+        # radix sort
         number = (np.cumsum(is_target) - 1).astype(np.int16)
         order = np.argsort(number[gen_masks], kind="stable")
         tgt = number[gen_masks[order]]
         GmT = np.ascontiguousarray(Gm[order].T)
         t_points = np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(nt, r)
-        mask_type = np.int16 if n < 16 else np.int64  # holds every mask
-        grouped_masks = masks[tgt].astype(mask_type)
+        grouped_masks = masks[tgt].astype(np.int16)
         valid = np.empty((nt, m), dtype=bool)
         least = np.full((nt, nt), m, dtype=np.int64)
         step = max(1, _CANDIDATE_ROW_BUDGET // (nt * r))
         for j0 in range(0, m, step):
             j1 = min(m, j0 + step)
-            bits = np.left_shift(1, GmT[:, j0:j1], dtype=mask_type)
+            bits = np.left_shift(1, GmT[:, j0:j1], dtype=np.int16)
             hit = bits[t_points[:, 0]]
             for p in range(1, r):
                 hit |= bits[t_points[:, p]]
@@ -560,10 +568,13 @@ def _tree_word(parent: list[int], via: list[int], i: int) -> tuple[int, ...]:
 
 
 def _mask(points: np.ndarray) -> np.ndarray:
-    """The bitmask of the point set along the last axis."""
-    out = np.zeros(points.shape[:-1], dtype=np.int64)
-    for j in range(points.shape[-1]):
-        out |= np.left_shift(1, points[..., j], dtype=np.int64)
+    """The bitmask of the point set along the last axis of a 1-D or 2-D array."""
+    # the shifts laid out point by point, so that each OR runs over a whole
+    # contiguous row of them, not along each short row of points
+    bits = np.left_shift(1, points.T, dtype=np.int64, order="C")
+    out = bits[0].copy()
+    for row in bits[1:]:
+        out |= row
     return out
 
 
@@ -622,29 +633,12 @@ def _extend_group(
     return np.concatenate(blocks), np.sort(np.concatenate(enc_blocks))
 
 
-def r_class_certificate(
-    generators: Sequence[Transformation], anchor: Transformation
-) -> RClassCertificate:
-    """Certificate for the R-class of anchor in the semigroup they generate.
-
-    Every generator must have the anchor's rank, as the conjugates of the
-    anchor do; another rank raises ValueError.
-    """
-    gens = tuple(generators)
-    if not gens:
-        raise ValueError("need at least one generator")
-    for g in gens:
-        if g.degree != anchor.degree:
-            raise ValueError(f"degree mismatch: {g.degree} vs {anchor.degree}")
-    Gm = np.array([g.images for g in gens], dtype=np.int8)
-    return certificate_from_matrix(Gm, anchor)
-
-
 def certificate_from_matrix(Gm: np.ndarray, anchor: Transformation) -> RClassCertificate:
-    """r_class_certificate taking the generators as an image matrix.
+    """The R-class certificate of anchor in the semigroup Gm's rows generate.
 
-    Every row must have the anchor's rank, as the conjugates of the
-    anchor do; another rank raises ValueError.
+    Gm is an int8 image matrix, one generator per row.  Every row must
+    have the anchor's degree and rank, as the conjugates of the anchor
+    do; RClassCertificate lists what raises ValueError.
     """
     return RClassCertificate(Gm, anchor)
 

@@ -192,6 +192,19 @@ def test_classify_degree_5_table_output(capsys):
     assert "- C5" in out and "not-normalizing" in out
 
 
+REFERENCE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference")
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 12])
+def test_classify_json_matches_the_reference(capsys, monkeypatch, n):
+    # the benchmark's recorded classify reports, byte for byte
+    monkeypatch.delenv("NORMGROUPS_CACHE_DIR", raising=False)
+    code, out, _ = run(capsys, "classify", "--degree", str(n), "--format", "json")
+    assert code == 0
+    with open(os.path.join(REFERENCE_DIR, f"classify-{n}.json"), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
 def test_classify_rejects_degree_10(capsys):
     with pytest.raises(SystemExit):
         run(capsys, "classify", "--degree", "10")

@@ -17,9 +17,13 @@ from normgroups.semigroups import (
     encode_rows,
     in_r_class,
     kernel_members,
-    r_class_certificate,
 )
 from normgroups.transform import Permutation, Transformation, all_transformations
+
+
+def r_class_certificate(gens, anchor):
+    # the certificate of a list of maps, through their image matrix
+    return certificate_from_matrix(np.array([g.images for g in gens], dtype=np.int8), anchor)
 
 
 def naive_closure(gens):
@@ -250,6 +254,20 @@ def test_certificate_refuses_a_generator_of_another_rank():
         certificate_from_matrix(np.array([a.images, lower.images], dtype=np.int8), a)
     with pytest.raises(ValueError, match="rank 3"):
         r_class_certificate([Permutation.parse("(1 2)", 4), a], a)
+
+
+def test_certificate_refuses_malformed_generator_matrices():
+    # no generators, rows of another degree than the anchor's, and a degree
+    # whose masks no longer fit the int16 the search keeps them in
+    a = Transformation.parse("1,1,2,3")
+    with pytest.raises(ValueError, match="at least one generator"):
+        certificate_from_matrix(np.empty((0, 4), dtype=np.int8), a)
+    wide = np.array([a.images + (4,)], dtype=np.int8)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        certificate_from_matrix(wide, a)
+    b = Transformation([0, 0] + list(range(1, 15)))
+    with pytest.raises(ValueError, match="stop at degree 15"):
+        certificate_from_matrix(np.array([b.images], dtype=np.int8), b)
 
 
 def test_certificate_matches_brute_force_r_class():
@@ -483,7 +501,7 @@ def _recorded_tiers(checker, a):
     size = 256
     if 4 * size <= order:
         rows = M[np.arange(size) * order // size]
-        picked = normalizing._conjugate_encodings(rows, np.argsort(rows, axis=1), a)
+        picked = normalizing._conjugate_encodings(rows, a)
         yield np.union1d(picked, a.encode())
         size *= 2
     conj_encs = checker._conjugates(a)
