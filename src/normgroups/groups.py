@@ -1,26 +1,29 @@
 """Finite permutation groups given by generators.
 
-Groups are stored as generator lists and materialized fully on demand:
-every group handled here has at most a few hundred thousand elements,
-so a deterministic breadth-first closure (identity first, generators
-applied in listed order) is both simple and fast, and the resulting
-element order anchors every "first witness" the rest of the package
-reports.
+Groups are stored as generator lists, and their elements are built on
+first use as one int8 matrix: one row per element, one column per point.
+The rows come from a breadth-first closure (identity first, generators
+applied in listed order), run level by level, so one numpy gather applies
+every generator to a whole level at once; that order anchors every
+"first witness" the rest of the package reports.  elements() reads the
+same rows as Permutation objects, one at a time, and only when asked.
 
-The element matrix (one row per element, one column per point) is the
-workhorse for the vectorized callers in the normalizing machinery, and
-its sorted rows answer membership by binary search.  Orbits here are
-point orbits and orbits on point sets, the latter labeled once per group
-by subset_orbits; the conjugation orbit a^G of a map is read from the
-element matrix alone, by normalizing._conjugate_encodings.
+The element matrix is the workhorse for the vectorized callers in the
+normalizing machinery, and its sorted rows answer membership by binary
+search.  Orbits here are point orbits and orbits on point sets, the
+latter labeled once per group by subset_orbits; the conjugation orbit
+a^G of a map is read from the element matrix alone, by
+normalizing._conjugate_encodings.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator, SupportsIndex
 
 import numpy as np
 
@@ -57,7 +60,6 @@ class PermutationGroup:
         self.degree = n
         self.generators = gens
         self.label = label if label is not None else _default_label(gens)
-        self._elements: tuple[Permutation, ...] | None = None
         self._matrix: np.ndarray | None = None
         self._inverse_matrix: np.ndarray | None = None
         self._sorted_rows: np.ndarray | None = None
@@ -66,32 +68,21 @@ class PermutationGroup:
 
     # -- element enumeration -------------------------------------------------
 
-    def elements(self) -> tuple[Permutation, ...]:
-        """All elements in deterministic breadth-first discovery order."""
-        if self._elements is None:
-            identity = tuple(range(self.degree))
-            seen = {identity}
-            order: list[tuple[int, ...]] = [identity]
-            queue = deque([identity])
-            gens = [g.images for g in self.generators]
-            while queue:
-                cur = queue.popleft()
-                for g in gens:
-                    nxt = tuple(g[v] for v in cur)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        order.append(nxt)
-                        queue.append(nxt)
-            self._elements = tuple(Permutation(p) for p in order)
-        return self._elements
+    def elements(self) -> ElementSequence:
+        """All elements in breadth-first discovery order, as a sequence view.
+
+        Row i of element_matrix() is element i; the view builds one
+        Permutation per element read, and never all of them at once.
+        """
+        return ElementSequence(self.element_matrix())
 
     def order(self) -> int:
-        return len(self.elements())
+        return self.element_matrix().shape[0]
 
     def element_matrix(self) -> np.ndarray:
         """(order, degree) int8 matrix of images, rows in discovery order."""
         if self._matrix is None:
-            self._matrix = np.array([p.images for p in self.elements()], dtype=np.int8)
+            self._matrix = _breadth_first_rows(self.generators, self.degree)
         return self._matrix
 
     def inverse_matrix(self) -> np.ndarray:
@@ -301,6 +292,57 @@ class PermutationGroup:
         cols = m[:, A]
         total = int(np.isin(cols, np.array(B, dtype=np.int8)).sum(dtype=np.int64))
         return Fraction(total, self.order())
+
+
+class ElementSequence(Sequence[Permutation]):
+    """A group's elements as Permutations, read row by row from its element matrix."""
+
+    __slots__ = ("_matrix",)
+
+    def __init__(self, matrix: np.ndarray):
+        self._matrix = matrix
+
+    def __len__(self) -> int:
+        return self._matrix.shape[0]
+
+    def __getitem__(self, i: SupportsIndex) -> Permutation:
+        return Permutation(self._matrix[operator.index(i)].tolist())
+
+    def __iter__(self) -> Iterator[Permutation]:
+        for row in self._matrix:
+            yield Permutation(row.tolist())
+
+
+_MAX_ROW_DEGREE = 127  # element rows are int8
+
+
+def _breadth_first_rows(generators: tuple[Permutation, ...], n: int) -> np.ndarray:
+    """Every element of <generators> as an int8 row, in breadth-first order.
+
+    This is the order of a FIFO walk from the identity that appends each
+    row's unseen successors in generator order: the walk takes all of
+    level L before level L+1, so level L+1 is the first occurrences, in
+    (row, generator) order, of the successors of level L not seen before.
+    One gather builds those successors for the whole level, and a set of
+    row bytes drops the ones already seen.
+    """
+    if n > _MAX_ROW_DEGREE:
+        raise ValueError(f"degree {n}: int8 element rows stop at degree {_MAX_ROW_DEGREE}")
+    gens = np.array([g.images for g in generators], dtype=np.int8).reshape(-1, n)
+    row = np.dtype((np.void, n))
+    frontier = np.arange(n, dtype=np.int8)[None, :]
+    seen = {frontier.tobytes()}
+    mark = seen.add
+    levels = [frontier]
+    while frontier.shape[0]:
+        # successor r * len(gens) + j is frontier row r followed by generator j
+        step = np.ascontiguousarray(gens[:, frontier].swapaxes(0, 1)).reshape(-1, n)
+        # mark(key) returns None, so each unseen key passes once, in order
+        keys = step.view(row).ravel().tolist()
+        fresh = [key for key in keys if key not in seen and not mark(key)]
+        frontier = np.frombuffer(b"".join(fresh), dtype=np.int8).reshape(-1, n)
+        levels.append(frontier)
+    return np.concatenate(levels)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

@@ -292,14 +292,18 @@ def _conjugate_encodings(perms: np.ndarray, a: Transformation) -> np.ndarray:
     return encs[keep]
 
 
+def _require_vector_degree(n: int) -> None:
+    if n > _MAX_VECTOR_DEGREE:
+        raise ValueError(
+            f"degree {n}: map checks stop at degree {_MAX_VECTOR_DEGREE}; "
+            f"the int64 encodings of larger maps overflow"
+        )
+
+
 def _require_singular(group: PermutationGroup, a: Transformation) -> None:
     if a.degree != group.degree:
         raise ValueError(f"degree mismatch: map {a.degree}, group {group.degree}")
-    if a.degree > _MAX_VECTOR_DEGREE:
-        raise ValueError(
-            f"degree {a.degree}: map checks stop at degree {_MAX_VECTOR_DEGREE}; "
-            f"the int64 encodings of larger maps overflow"
-        )
+    _require_vector_degree(a.degree)
     if a.is_permutation():
         raise ValueError("the map must be singular (rank < degree)")
 
@@ -308,6 +312,8 @@ class _MapChecker:
     """Per-group arrays shared across many single-map checks."""
 
     def __init__(self, group: PermutationGroup):
+        # refused before the element matrix, which stops at degree 127
+        _require_vector_degree(group.degree)
         self.group = group
         self.M = group.element_matrix()
 

@@ -102,6 +102,13 @@ def test_check_refuses_degree_past_the_int64_encoding(tmp_path, capsys):
                        "--map", ",".join(["1"] * 9 + [str(p) for p in range(2, 10)]))
     assert code == 2
     assert "map checks stop at degree 15" in err
+    # past degree 127 the refusal must come before the int8 element matrix
+    path = tmp_path / "t130.txt"
+    path.write_text("(1 130)\n")
+    code, _, err = run(capsys, "check", "--group-file", str(path),
+                       "--map", ",".join(["1", "1"] + [str(p) for p in range(3, 131)]))
+    assert code == 2
+    assert "map checks stop at degree 15" in err
 
 
 # -- sweeps ------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from normgroups.catalog import catalog
+from normgroups.catalog import _build, catalog, catalog_labels
 from normgroups.groups import PermutationGroup, group_from_generator_text
 from normgroups.transform import ParseError, Permutation, Transformation
 
@@ -49,6 +51,120 @@ def brute_force_ij_homogeneous(group, i, j):
             if not any(all(g.images[p] in js for p in I) for g in elems):
                 return False
     return True
+
+
+def queue_bfs_rows(group):
+    # the reference order: a FIFO walk from the identity over image tuples,
+    # appending each element's unseen successors in generator order
+    identity = tuple(range(group.degree))
+    seen = {identity}
+    order = [identity]
+    queue = deque([identity])
+    gens = [g.images for g in group.generators]
+    while queue:
+        cur = queue.popleft()
+        for g in gens:
+            nxt = tuple(g[v] for v in cur)
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+                queue.append(nxt)
+    return order
+
+
+def random_generator_lists(seed):
+    rng = random.Random(seed)
+    for n in range(2, 8):
+        for count in (1, 2, 3):
+            gens = []
+            for _ in range(count):
+                images = list(range(n))
+                rng.shuffle(images)
+                gens.append(Permutation(images))
+            yield gens
+            yield gens + [gens[0]]  # a repeated generator
+            yield [Permutation.identity(n)] + gens
+    # intransitive: one factor on {1..3}, one on {4..7}
+    yield [Permutation.parse("(1 2 3)", 7), Permutation.parse("(4 5 6 7)", 7),
+           Permutation.parse("(4 5)", 7)]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12])
+def test_element_matrix_matches_the_queue_walk_on_the_catalog(degree):
+    # every "first witness", and the order serial and parallel sweeps share,
+    # is read from this row order
+    labels = [(label, degree) for label in catalog_labels(degree)]
+    if degree == 9:
+        labels += [("C17", 17), ("D(2*20)", 20)]
+    for label, n in labels:
+        group = catalog(label, n)
+        assert group.element_matrix().tolist() == [list(r) for r in queue_bfs_rows(group)], label
+        assert group.element_matrix().dtype == np.int8
+
+
+def test_element_matrix_matches_the_queue_walk_on_random_generators():
+    groups = [PermutationGroup([], degree=k) for k in (1, 2, 5, 16)]
+    groups += [PermutationGroup(gens) for gens in random_generator_lists(23)]
+    assert any(not g.is_transitive() and g.order() > 1 for g in groups)
+    for g in groups:
+        want = queue_bfs_rows(g)
+        assert g.element_matrix().tolist() == [list(r) for r in want], g.label
+        assert g.order() == len(want)
+
+
+def test_elements_view_reads_the_matrix():
+    g = catalog("AGL(1,7)", 7)
+    m = g.element_matrix()
+    elements = g.elements()
+    assert len(elements) == g.order() == 42
+    assert elements[-1] == Permutation(m[41].tolist())
+    assert elements[np.int32(5)] == Permutation(m[5].tolist())
+    assert elements[np.int64(-42)] == Permutation.identity(7)
+    with pytest.raises(IndexError):
+        elements[42]
+    with pytest.raises(IndexError):
+        elements[-43]
+    assert list(elements) == [Permutation(row) for row in m.tolist()]
+
+
+def test_element_matrix_builds_no_permutations(monkeypatch):
+    built = []
+    original = Permutation.__init__
+
+    def spy(self, images):
+        built.append(images)
+        original(self, images)
+
+    _build.cache_clear()  # so catalog() builds a fresh A9 here
+    monkeypatch.setattr(Permutation, "__init__", spy)
+    group = catalog("A9", 9)
+    assert group.order() == 181440
+    assert group.element_matrix().shape == (181440, 9)
+    assert len(built) == len(group.generators) == 2
+
+
+def test_element_matrix_memory_a9():
+    # the int8 rows of A9 are 1.6 MiB; the build keeps no Python object
+    # per element
+    gens = catalog("A9", 9).generators
+    tracemalloc.start()
+    try:
+        group = PermutationGroup(gens, degree=9)
+        group.element_matrix()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.order() == 181440
+    assert peak < 32 * 2**20
+    assert held < 4 * 2**20
+
+
+def test_elements_refuse_degrees_past_int8():
+    assert PermutationGroup([Permutation.from_cycles([[0, 126]], 127)]).order() == 2
+    wide = PermutationGroup([Permutation.from_cycles([[0, 129]], 130)])
+    for build in (wide.order, wide.element_matrix, wide.elements):
+        with pytest.raises(ValueError, match="int8 element rows stop at degree 127"):
+            build()
 
 
 def test_elements_small():
@@ -236,12 +352,12 @@ def test_group_from_generator_text():
     assert short.degree == 5 and short.order() == 4
 
 
-def brute_force_restrictions(group, points):
+def brute_force_restrictions(elements, points):
     # the first element of each distinct restriction to the points, and
     # how many elements fix every point
     firsts = {}
     fixers = 0
-    for i, g in enumerate(group.elements()):
+    for i, g in enumerate(elements):
         firsts.setdefault(tuple(g.images[p] for p in points), i)
         fixers += all(g.images[p] == p for p in points)
     return sorted(firsts.values()), fixers
@@ -258,9 +374,10 @@ def test_distinct_restrictions_match_brute_force(label, n, sample):
     masks = range(1 << n)
     if sample is not None:
         masks = random.Random(17).sample(masks, sample)
+    elements = list(group.elements())
     for mask in masks:
         points = [p for p in range(n) if (mask >> p) & 1]
-        firsts, fixers = brute_force_restrictions(group, points)
+        firsts, fixers = brute_force_restrictions(elements, points)
         table = group.distinct_restrictions(mask)
         if fixers == 1:
             assert table is None, (label, points)

@@ -649,17 +649,22 @@ def test_degree_mismatch_and_permutation_rejected():
 def test_checks_refuse_degrees_past_the_int64_encoding(call):
     # encodings of degree-17 maps overflow int64: a check used to read the
     # conjugates back as garbage rows and fail on "every generator must
-    # have rank 9"
-    group = catalog("C17", 17)
-    a = Transformation.from_one_based([1] * 9 + list(range(2, 10)))
-    runs = {
-        "check": lambda: is_a_normalizing(group, a),
-        "check_pair": lambda: check_pair(group, a, group.generators[0]),
-        "section": lambda: exists_section_mapper(group, a),
-        "class": lambda: is_class_normalizing(group, a),
-    }
-    with pytest.raises(ValueError, match="map checks stop at degree 15"):
-        runs[call]()
+    # have rank 9"; at degree 130 the refusal must come before the int8
+    # element matrix, which cannot hold the points
+    cases = [
+        (catalog("C17", 17), Transformation.from_one_based([1] * 9 + list(range(2, 10)))),
+        (PermutationGroup([Permutation.from_cycles([[0, 129]], 130)]),
+         Transformation.from_one_based([1, 1] + list(range(3, 131)))),
+    ]
+    for group, a in cases:
+        runs = {
+            "check": lambda: is_a_normalizing(group, a),
+            "check_pair": lambda: check_pair(group, a, group.generators[0]),
+            "section": lambda: exists_section_mapper(group, a),
+            "class": lambda: is_class_normalizing(group, a),
+        }
+        with pytest.raises(ValueError, match="map checks stop at degree 15"):
+            runs[call]()
 
 
 def test_check_pair_rejects_foreign_permutation():
