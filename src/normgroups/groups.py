@@ -175,7 +175,11 @@ class PermutationGroup:
         first occurs; there are |G : G_(I)| of them, G_(I) the pointwise
         stabilizer of I.  None when G_(I) is trivial, where every element
         is its own first.  Built per mask on first use, by one pass over
-        the elements with a base-degree key of their images on I.
+        the elements with a base-degree key of their images on I and one
+        unstable sort of the keys.  Equal keys form one run of the sorted
+        order, found by an adjacent-difference flag; the sort scrambles
+        the indices within a run, but the run's least index is its first
+        element, which is what a stable sort would have put at its head.
         """
         if mask not in self._restrictions:
             n = self.degree
@@ -187,7 +191,11 @@ class PermutationGroup:
             if np.count_nonzero(keys == keys[0]) == 1:
                 self._restrictions[mask] = None
             else:
-                firsts = np.unique(keys, return_index=True)[1]
+                order = np.argsort(keys)
+                sorted_keys = keys[order]
+                starts = np.ones(sorted_keys.shape[0], dtype=bool)
+                np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+                firsts = np.minimum.reduceat(order, np.flatnonzero(starts))
                 self._restrictions[mask] = np.sort(firsts).astype(np.int32)
         return self._restrictions[mask]
 

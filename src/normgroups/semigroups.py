@@ -568,10 +568,14 @@ def _tree_word(parent: list[int], via: list[int], i: int) -> tuple[int, ...]:
 
 
 def _mask(points: np.ndarray) -> np.ndarray:
-    """The bitmask of the point set along the last axis of a 1-D or 2-D array."""
+    """The bitmask of the point set along the last axis of a 1-D or 2-D array.
+
+    The masks are int16: every caller stops at degree _MAX_VECTOR_DEGREE
+    = 15, where the largest mask, of all 15 points, is 2**15 - 1.
+    """
     # the shifts laid out point by point, so that each OR runs over a whole
     # contiguous row of them, not along each short row of points
-    bits = np.left_shift(1, points.T, dtype=np.int64, order="C")
+    bits = np.left_shift(1, points.T, dtype=np.int16, order="C")
     out = bits[0].copy()
     for row in bits[1:]:
         out |= row
@@ -658,9 +662,12 @@ def kernel_members(gens: np.ndarray, anchor: Transformation, rows: np.ndarray) -
 
     The search stops once every row's tuple is reached.  It visits at
     most n!/(n-r)! tuples and keeps only those, as a sorted encoding array.
-    Returns one boolean per row.
+    Returns one boolean per row.  Refuses a degree above 15, where the
+    int16 point-set masks of the rank test no longer fit.
     """
     n = gens.shape[1]
+    if n > _MAX_VECTOR_DEGREE:
+        raise ValueError(f"degree {n}: kernel searches stop at degree {_MAX_VECTOR_DEGREE}")
     a = np.array(anchor.images, dtype=np.int64)
     T = np.unique(a, return_index=True)[1]
     r = T.shape[0]

@@ -667,6 +667,25 @@ def test_checks_refuse_degrees_past_the_int64_encoding(call):
             runs[call]()
 
 
+def test_degree_15_check_on_point_15_keeps_its_witness():
+    # point-set masks are int16 and the image of this map holds point 15,
+    # whose bit is 2**14: the certificate, the kernel search and the
+    # section mapper all read such masks.  Verdict, trace, witness and
+    # section mapper as recorded with int64 masks
+    group = PermutationGroup(
+        [Permutation.parse("(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)", 15),
+         Permutation([0] + list(range(14, 0, -1)))],
+        degree=15, label="D15",
+    )
+    a = Transformation.parse("12,12,12,9,4,15,12,15,4,4,15,4,12,4,15")
+    h = exists_section_mapper(group, a)
+    assert h.images == (2, 1, 0) + tuple(range(14, 2, -1))
+    v = is_a_normalizing(group, a)
+    assert (v.status, v.trace) == (STATUS_NOT, ("r-class", "closure"))
+    assert v.witness.g == Permutation.parse("(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)", 15)
+    assert v.witness.reason == "membership-failed"
+
+
 def test_check_pair_rejects_foreign_permutation():
     group = catalog("C5", 5)
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from normgroups.catalog import catalog
 from normgroups.semigroups import (
     TransSemigroup,
     _extend_group,
+    _mask,
     certificate_from_matrix,
     decode_encodings,
     encode_rows,
@@ -220,6 +221,27 @@ def test_kernel_members_matches_closure():
     gens = np.array([a.images, Transformation.parse("1,1,1,2").images], dtype=np.int8)
     with pytest.raises(ValueError):
         kernel_members(gens, a, np.array([a.images], dtype=np.int8))
+
+
+def test_masks_are_int16_up_to_degree_15():
+    # every mask of at most 15 points fits int16; the mask of all 15 is the largest
+    rng = random.Random(43)
+    for n in range(1, 16):
+        width = rng.randrange(1, n + 1)
+        rows = np.array([[rng.randrange(n) for _ in range(width)] for _ in range(50)],
+                        dtype=np.int8)
+        masks = _mask(rows)
+        assert masks.dtype == np.int16
+        assert masks.tolist() == [sum(1 << p for p in set(row)) for row in rows.tolist()]
+        assert _mask(rows[0]) == masks[0]
+    assert _mask(np.arange(15, dtype=np.int8)) == 32767
+
+
+def test_kernel_members_refuses_degrees_past_int16_masks():
+    a = Transformation([0, 0] + list(range(1, 15)))
+    gens = np.array([a.images], dtype=np.int8)
+    with pytest.raises(ValueError, match="stop at degree 15"):
+        kernel_members(gens, a, gens)
 
 
 def test_certificate_single_idempotent():
