@@ -25,14 +25,12 @@ from .normalizing import (
     FilterCheck,
     FilterReport,
     NormalizingVerdict,
-    STATUS_INCONCLUSIVE,
     STATUS_NORMALIZING,
     STATUS_NOT,
     SweepCacheMismatch,
     SweepProgress,
     check_pair,
     classify,
-    conjugacy_orbit_reps,
     exists_section_mapper,
     is_a_normalizing,
     is_class_normalizing,
@@ -41,11 +39,7 @@ from .normalizing import (
     m12_witness_check,
     structural_filters,
 )
-from .semigroups import (
-    RClassCertificate,
-    TransSemigroup,
-    in_r_class,
-)
+from .semigroups import RClassCertificate
 from .transform import (
     KernelPartition,
     ParseError,
@@ -71,12 +65,10 @@ __all__ = [
     "Permutation",
     "PermutationGroup",
     "RClassCertificate",
-    "STATUS_INCONCLUSIVE",
     "STATUS_NORMALIZING",
     "STATUS_NOT",
     "SweepCacheMismatch",
     "SweepProgress",
-    "TransSemigroup",
     "Transformation",
     "canonical_label",
     "catalog",
@@ -85,10 +77,8 @@ __all__ = [
     "catalog_labels",
     "check_pair",
     "classify",
-    "conjugacy_orbit_reps",
     "exists_section_mapper",
     "group_from_generator_text",
-    "in_r_class",
     "is_a_normalizing",
     "is_class_normalizing",
     "is_k_normalizing",

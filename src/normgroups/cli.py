@@ -70,16 +70,7 @@ def _load_group(args) -> PermutationGroup:
         group = catalog(args.group, args.degree)
     else:
         raise CliError("one of --group or --group-file is required")
-    if args.degree is not None and group.degree != args.degree:
-        raise CliError(f"group degree {group.degree} does not match --degree {args.degree}")
     return group
-
-
-def _parse_map(args, degree: int) -> Transformation:
-    a = Transformation.parse(args.map, degree)
-    if a.degree != degree:
-        raise CliError(f"map degree {a.degree} does not match degree {degree}")
-    return a
 
 
 def _emit(args, payload: dict, table_lines: Sequence[str]) -> None:
@@ -144,7 +135,7 @@ def _resolve_cache(args, group: PermutationGroup, rank: int | None) -> str | Non
 
 def cmd_check(args) -> int:
     group = _load_group(args)
-    a = _parse_map(args, group.degree)
+    a = Transformation.parse(args.map, group.degree)
     if args.witness:
         g = Permutation.parse(args.witness, group.degree)
         v = check_pair(group, a, g)
@@ -237,8 +228,6 @@ def cmd_reps(args) -> int:
 
 
 def cmd_groups(args) -> int:
-    if args.action != "list":
-        raise CliError(f"unknown groups action {args.action!r}")
     degrees = [args.degree] if args.degree else list(catalog_degrees())
     rows = []
     lines = []
@@ -291,9 +280,12 @@ def _add_group_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group-file", help="file of generator permutations, one per line")
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(
+    p: argparse.ArgumentParser,
+    resume_help: str = "sweep cache file, checkpointed once a minute and saved at completion",
+) -> None:
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    p.add_argument("--resume", help="sweep cache path, checkpointed once a minute and saved at completion")
+    p.add_argument("--resume", help=resume_help)
     p.add_argument("--progress", action="store_true", help="progress on standard error")
     p.add_argument("--progress-interval", type=float, default=5.0, metavar="SECONDS")
 
@@ -336,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="compute the normalizing groups of one degree")
     p.add_argument("--degree", type=int, required=True,
                    choices=sorted(CLASSIFICATION_TABLE))
-    _add_run_flags(p)
+    _add_run_flags(p, "directory of sweep caches, one file per swept candidate group, "
+                      "each checkpointed once a minute and saved at completion")
     _add_output_flags(p)
     p.set_defaults(fn=cmd_classify)
 

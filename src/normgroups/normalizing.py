@@ -783,14 +783,6 @@ def sweep_cache_path(cache_dir: str, group: PermutationGroup, rank: int | None =
     return os.path.join(cache_dir, f"deg{group.degree}{tag}-{catalog_hash(group)}.sweep")
 
 
-def conjugacy_orbit_reps(
-    group: PermutationGroup, *, rank: int | None = None
-) -> Iterator[Transformation]:
-    """Least-encoding representative of each conjugation orbit on T_n \\ S_n."""
-    for rep, _ in ConjugacySweep(group, rank=rank):
-        yield rep
-
-
 # -- sweeping checks -----------------------------------------------------------
 
 

@@ -52,10 +52,14 @@ rank, with no cap: a search over the orbit of the injective tuples such
 a map takes on a transversal of the kernel.
 
 TransSemigroup is the exact oracle the tests compare both with: a
-breadth-first closure taking left and right products each round,
-deduplicated through a packed bitmap over all n**n encodings, so it
-refuses degrees above 9.  It has no element cap: it grows until the
-frontier is empty, or, for a membership query, until the map turns up.
+breadth-first closure multiplying each round's new elements on the
+right by every generator.  Every member is a word g1...gk in the
+generators and is reached from its prefix, so no left products are
+needed.  Elements are deduplicated through a packed bitmap over all
+n**n encodings, so it refuses degrees above 9.  It has no element cap:
+it grows until the frontier is empty, or, for a membership query, until
+the map turns up.  Its semigroup facts (idempotents, regularity) are
+computed by brute force in the tests, from encodings().
 """
 from __future__ import annotations
 
@@ -166,16 +170,13 @@ class TransSemigroup:
         F = self._frontier
         m = self._gen_matrix.shape[0]
         f = F.shape[0]
-        gen_chunk = max(1, _CANDIDATE_ROW_BUDGET // max(2 * f, 1))
+        gen_chunk = max(1, _CANDIDATE_ROW_BUDGET // f)
         new_rows: list[np.ndarray] = []
         for g0 in range(0, m, gen_chunk):
             gm = self._gen_matrix[g0 : g0 + gen_chunk]
-            k = gm.shape[0]
-            # right products x*g then left products g*x, both gen-major:
-            # row j*f + i of a block pairs generator g0+j with frontier row i
-            right = gm[:, F].reshape(f * k, -1)
-            left = np.concatenate([F[:, g.astype(np.int64)] for g in gm])
-            cand = np.concatenate([right, left])
+            # right products x*g, gen-major: row j*f + i of a block pairs
+            # generator g0+j with frontier row i
+            cand = gm[:, F].reshape(f * gm.shape[0], -1)
             encs = encode_rows(cand)
             fresh = ~self._seen.test_batch(encs)
             if not fresh.any():
@@ -232,77 +233,6 @@ class TransSemigroup:
 
     def __iter__(self) -> Iterator[Transformation]:
         return self.elements()
-
-    # -- structure ------------------------------------------------------------
-
-    def _require_full(self) -> None:
-        if self.min_rank is not None:
-            raise ValueError("not meaningful on a rank-pruned enumeration")
-
-    def idempotents(self) -> tuple[Transformation, ...]:
-        self._require_full()
-        self.close()
-        out: list[Transformation] = []
-        for chunk in self._enc_chunks:
-            rows = decode_encodings(chunk, self.degree)
-            sq = np.take_along_axis(rows, rows.astype(np.int64), axis=1)
-            for row in rows[np.all(sq == rows, axis=1)]:
-                out.append(Transformation(int(v) for v in row))
-        return tuple(out)
-
-    def is_idempotent_generated(self) -> bool:
-        """True iff the idempotents generate the whole semigroup."""
-        idems = self.idempotents()
-        if not idems:
-            return False
-        sub = TransSemigroup(idems)
-        sub.close()
-        return len(sub) == len(self)
-
-    def is_regular(self) -> bool:
-        """True iff every element x has some y in S with x*y*x = x.
-
-        Brute force over the materialized semigroup, batched per image
-        set: x*y*x = x iff y sends each image point w of x into the
-        kernel class that x maps onto w, so only the restriction of y
-        to image(x) matters.  Desk scale only.
-        """
-        self._require_full()
-        self.close()
-        rows = np.concatenate(
-            [decode_encodings(c, self.degree) for c in self._enc_chunks]
-        )
-        n = self.degree
-        restrictions: dict[tuple[int, ...], np.ndarray] = {}
-        achievable: dict[tuple, set[int]] = {}
-        for x in rows:
-            img = tuple(int(v) for v in np.unique(x))
-            r = len(img)
-            rpow = power_vector(r)
-            # kernel class ids in first-appearance order
-            cls = np.empty(n, dtype=np.int64)
-            ids: dict[int, int] = {}
-            for p in range(n):
-                cls[p] = ids.setdefault(int(x[p]), len(ids))
-            # class that x maps onto each image point, keyed by the point
-            target = np.empty(r, dtype=np.int64)
-            first_preimage: dict[int, int] = {}
-            for p in range(n):
-                first_preimage.setdefault(int(x[p]), p)
-            for k, w in enumerate(img):
-                target[k] = cls[first_preimage[w]]
-            key = (img, cls.tobytes())
-            hit = achievable.get(key)
-            if hit is None:
-                U = restrictions.get(img)
-                if U is None:
-                    U = np.unique(rows[:, list(img)], axis=0)
-                    restrictions[img] = U
-                hit = set((cls[U.astype(np.int64)] @ rpow).tolist())
-                achievable[key] = hit
-            if int(target @ rpow) not in hit:
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------

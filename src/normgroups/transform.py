@@ -15,13 +15,16 @@ number whose most significant digit is the image of point 0:
     encode(a) = sum(a(i) * n**(n-1-i) for i in range(n))
 
 Encodings order T_n lexicographically by image tuple and are the keys
-used for deduplication, orbit bitmaps, and cache files.
+used for deduplication, orbit bitmaps, and cache files.  The module
+holds the element types and their text formats only: code that walks
+all of T_n decodes the encodings 0..n**n-1 (Transformation.decode), and
+a kernel's sections are read off KernelPartition.class_ids.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class ParseError(ValueError):
@@ -343,28 +346,6 @@ def _parse_cycles(text: str, degree: int | None) -> Permutation:
             if p >= n:
                 raise ParseError(f"point {p + 1} outside degree {n}")
     return Permutation.from_cycles(cycles, n)
-
-
-# ---------------------------------------------------------------------------
-# helpers over the classes above
-
-def is_section(points: Iterable[int], partition: KernelPartition) -> bool:
-    """True iff the point set meets every class of the partition exactly once."""
-    seen: set[int] = set()
-    for p in points:
-        if not 0 <= p < partition.degree:
-            raise ValueError(f"point {p} outside 0..{partition.degree - 1}")
-        c = partition.class_ids[p]
-        if c in seen:
-            return False
-        seen.add(c)
-    return len(seen) == partition.num_classes
-
-
-def all_transformations(degree: int) -> Iterator[Transformation]:
-    """All of T_n in encoding order.  Desk scale only: n**n elements."""
-    for idx in range(degree**degree):
-        yield Transformation.decode(degree, idx)
 
 
 def _check_same_degree(s: Transformation, t: Transformation) -> None:

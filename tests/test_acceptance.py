@@ -27,7 +27,6 @@ from normgroups.normalizing import (
     ConjugacySweep,
     check_pair,
     classify,
-    conjugacy_orbit_reps,
     exists_section_mapper,
     is_a_normalizing,
     is_class_normalizing,
@@ -37,6 +36,7 @@ from normgroups.normalizing import (
 )
 from normgroups.semigroups import TransSemigroup, certificate_from_matrix
 from normgroups.transform import Permutation, Transformation
+from semigroup_facts import idempotents, is_idempotent_generated, is_regular
 
 CRITERIA: dict[str, str] = {}
 
@@ -211,7 +211,7 @@ def test_strategies_agree_at_small_degrees():
         for label in catalog_labels(n):
             group = catalog(label, n)
             elements = group.elements()
-            for rep in conjugacy_orbit_reps(group):
+            for rep, _ in ConjugacySweep(group):
                 conj = sorted(conjugate_set(group, rep))
                 prods = [rep * g for g in elements]
                 sgp = TransSemigroup(conj, min_rank=rep.rank)
@@ -323,11 +323,11 @@ def check_conjugate_identities(n, sym, alt, a):
     non_perms = {t for t in full.elements() if not t.is_permutation()}
     if sym_set != non_perms:
         errs.append(f"n={n} {a.one_based()}: <a,S_n> minus S_n differs")
-    if set(sym_class.idempotents()) != {t for t in non_perms if t * t == t}:
+    if set(idempotents(sym_class)) != {t for t in non_perms if t * t == t}:
         errs.append(f"n={n} {a.one_based()}: idempotent sets differ")
-    if not sym_class.is_idempotent_generated():
+    if not is_idempotent_generated(sym_class):
         errs.append(f"n={n} {a.one_based()}: not idempotent generated")
-    if not sym_class.is_regular():
+    if not is_regular(sym_class):
         errs.append(f"n={n} {a.one_based()}: not regular")
     if alt is not None:
         alt_class = TransSemigroup(sorted(conjugate_set(alt, a)))
@@ -347,7 +347,7 @@ def test_conjugate_semigroup_identities_small_degrees():
     for n in (2, 3, 4, 5):
         sym = catalog(f"S{n}", n)
         alt = catalog(f"A{n}", n) if n >= 3 else None  # A_2 is trivial
-        for rep in conjugacy_orbit_reps(sym):
+        for rep, _ in ConjugacySweep(sym):
             bad.extend(check_conjugate_identities(n, sym, alt, rep))
             classes += 1
         picked = 0

@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from normgroups.catalog import catalog
 from normgroups.cli import main
+from normgroups.normalizing import sweep_cache_path
 
 
 def run(capsys, *argv):
@@ -78,6 +80,26 @@ def test_check_rejects_permutation_map(capsys):
                        "--map", "2,1,3,4")
     assert code == 2
     assert "singular" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--degree", "5", "--group", "C5", "--map", "1,1,3"],
+     "expected 5 images, got 3"),
+    (["check", "--degree", "5", "--group-file", "{gens}", "--map", "1,1,3,4,1"],
+     "point 6 outside degree 5 (line 1)"),
+    (["check", "--degree", "6", "--group", "A5", "--map", "1,1,3,4,5,6"],
+     "A5 acts on 5 points, not 6"),
+    (["groups", "show"], "invalid choice: 'show'"),
+])
+def test_degree_and_action_errors_come_from_the_first_check(tmp_path, capsys, argv, message):
+    gens = tmp_path / "gens.txt"
+    gens.write_text("(1 6)\n")
+    try:
+        code = main([arg.format(gens=gens) for arg in argv])
+    except SystemExit as e:  # argparse refuses before main runs a command
+        code = e.code
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_check_requires_group(capsys):
@@ -210,6 +232,24 @@ def test_classify_json_matches_the_reference(capsys, monkeypatch, n):
     assert code == 0
     with open(os.path.join(REFERENCE_DIR, f"classify-{n}.json"), encoding="utf-8") as fh:
         assert out == fh.read()
+
+
+def test_classify_resume_keeps_one_cache_per_swept_group(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("NORMGROUPS_CACHE_DIR", raising=False)
+    cache = tmp_path / "caches"
+    code, out, _ = run(capsys, "classify", "--degree", "4", "--resume", str(cache),
+                       "--format", "json")
+    assert code == 0
+    swept = [catalog(v["group"], 4) for v in json.loads(out)["verdicts"]
+             if v["trace"] == ["sweep"]]
+    assert len(swept) == 2
+    assert sorted(os.listdir(cache)) == sorted(
+        os.path.basename(sweep_cache_path(str(cache), g)) for g in swept
+    )
+    code2, out2, _ = run(capsys, "classify", "--degree", "4", "--resume", str(cache),
+                         "--format", "json")
+    assert code2 == 0
+    assert out2 == out
 
 
 def test_classify_rejects_degree_10(capsys):
