@@ -10,6 +10,8 @@ are kept set so scans and popcounts never see them.
 
 from __future__ import annotations
 
+from typing import BinaryIO
+
 import numpy as np
 
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
@@ -25,19 +27,11 @@ class Bitmap:
 
     __slots__ = ("nbits", "data")
 
-    def __init__(self, nbits: int, data: np.ndarray | None = None):
+    def __init__(self, nbits: int):
         if nbits < 1:
             raise ValueError("nbits must be positive")
-        nbytes = (nbits + 7) // 8
-        if data is None:
-            data = np.zeros(nbytes, dtype=np.uint8)
-        else:
-            data = np.asarray(data, dtype=np.uint8)
-            if data.shape != (nbytes,):
-                raise ValueError(f"expected {nbytes} bytes, got {data.shape}")
-            data = data.copy()
         self.nbits = nbits
-        self.data = data
+        self.data = np.zeros((nbits + 7) // 8, dtype=np.uint8)
         self._set_padding()
 
     def _set_padding(self) -> None:
@@ -63,7 +57,11 @@ class Bitmap:
         return idx[~self.test_batch(idx)]
 
     def popcount(self) -> int:
-        total = int(_POPCOUNT8[self.data].sum(dtype=np.int64))
+        # a chunk at a time, so the byte counts never take a copy of the bitmap
+        total = sum(
+            int(_POPCOUNT8[self.data[i : i + _SCAN_CHUNK]].sum(dtype=np.int64))
+            for i in range(0, self.data.shape[0], _SCAN_CHUNK)
+        )
         return total - (self.data.shape[0] * 8 - self.nbits)
 
     # the sweep walk calls this past a fully marked span of candidates
@@ -91,9 +89,14 @@ class Bitmap:
     def tobytes(self) -> bytes:
         return self.data.tobytes()
 
-    @classmethod
-    def frombytes(cls, nbits: int, raw: bytes) -> "Bitmap":
-        return cls(nbits, np.frombuffer(raw, dtype=np.uint8))
+    def readinto(self, fh: BinaryIO) -> bool:
+        """Read the bytes tobytes wrote from fh into this bitmap, in place.
+
+        True when fh held exactly the bitmap's length from its position on.
+        """
+        exact = fh.readinto(self.data) == self.data.shape[0] and not fh.read(1)
+        self._set_padding()
+        return exact
 
     def __len__(self) -> int:
         return self.nbits

@@ -4,7 +4,8 @@ Each entry is built from explicit generators (affine maps, projective
 fractional-linear maps, field automorphisms, or literal cycles) and
 verified by an order assertion on first construction, then cached.
 Labels are matched case-insensitively with common ASCII spellings of
-the Greek Gamma accepted.
+the Greek Gamma accepted.  The families A, S, C and D read their number
+of points from the label (A7, D(2*7)) or, given bare, from the degree.
 
 Point labelings: affine groups act on the field (or vector space) with
 point i+1 standing for the field element i (vectors read big-endian by
@@ -212,7 +213,8 @@ def _m12() -> list[Permutation]:
 
 
 # ---------------------------------------------------------------------------
-# label table: canonical -> (degree, expected order, builder)
+# label tables: canonical -> (degree, expected order, builder), and the
+# families A, S, C and D on any number of points
 
 _SL23 = [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]
 _GL32 = [
@@ -221,8 +223,6 @@ _GL32 = [
 ]
 
 _ENTRIES: dict[str, tuple[int, int, object]] = {
-    "C5": (5, 5, lambda: _cyclic(5)),
-    "D(2*5)": (5, 10, lambda: _dihedral(5)),
     "AGL(1,5)": (5, 20, lambda: _affine_1d(5)),
     "PSL(2,5)": (6, 60, lambda: _projective(5)),
     "PGL(2,5)": (6, 120, lambda: _projective(5, full=True)),
@@ -240,7 +240,19 @@ _ENTRIES: dict[str, tuple[int, int, object]] = {
     "M12": (12, 95040, _m12),
 }
 
-_ALIASES = {
+# per family: the pattern of its labels, upper-cased, whose group is the
+# number of points (a bare letter takes the degree), the canonical form,
+# the generators and the order on n points, and the least and greatest n
+# built (None: no greatest)
+_FAMILIES = (
+    (re.compile(r"A_?(\d*)"), "A{}", _alternating, lambda n: max(1, factorial(n) // 2), 1, 9),
+    (re.compile(r"S_?(\d*)"), "S{}", _symmetric, factorial, 1, 9),
+    (re.compile(r"C(\d*)"), "C{}", _cyclic, lambda n: n, 1, None),
+    (re.compile(r"D(?:\(2\*(\d+)\))?"), "D(2*{})", _dihedral, lambda n: 2 * n, 3, None),
+)
+
+# the named entries and their other spellings, upper-cased, Γ spelled GAMMA
+_NAMES = {name.upper().replace("Γ", "GAMMA"): name for name in _ENTRIES} | {
     "D10": "D(2*5)",
     "D(2X5)": "D(2*5)",
     "AGAMMAL(1,8)": "AΓL(1,8)",
@@ -254,71 +266,46 @@ _ALIASES = {
     "I": "trivial",
 }
 
-_AS_RE = re.compile(r"^([AS])_?(\d+)?$")
+
+def _family(key: str, degree: int | None) -> tuple[tuple, int | None] | None:
+    """The family whose pattern matches key, and its number of points."""
+    for family in _FAMILIES:
+        m = family[0].fullmatch(key)
+        if m:
+            return family, int(m[1]) if m[1] else degree
+    return None
 
 
 def canonical_label(label: str, degree: int | None = None) -> str:
     """Normalize a user-facing label; degree resolves bare "A"/"S"/"C"/"D"."""
-    key = label.strip().replace(" ", "").replace("Γ", "GAMMA").upper()
-    key = key.replace("GAMMA", "Γ")
-    if key in _ALIASES:
-        return _ALIASES[key]
-    if key.replace("Γ", "GAMMA") in _ALIASES:
-        return _ALIASES[key.replace("Γ", "GAMMA")]
-    for name in _ENTRIES:
-        if key == name.upper().replace(" ", ""):
-            return name
-    m = _AS_RE.match(key.replace("Γ", ""))
-    if m:
-        kind, num = m.groups()
-        n = int(num) if num else degree
-        if n is None:
-            raise CatalogError(f"label {label!r} needs a degree")
-        return f"{kind}{n}"
-    if re.match(r"^C\d+$", key):
-        return key
-    if re.match(r"^D\(2\*\d+\)$", key):
-        return key
-    raise CatalogError(f"unknown group label {label!r}")
+    key = label.strip().replace(" ", "").upper().replace("Γ", "GAMMA")
+    if key in _NAMES:
+        return _NAMES[key]
+    found = _family(key, degree)
+    if found is None:
+        raise CatalogError(f"unknown group label {label!r}")
+    family, n = found
+    if n is None:
+        raise CatalogError(f"label {label!r} needs a degree")
+    return family[1].format(n)
 
 
 @functools.lru_cache(maxsize=None)
 def _build(canonical: str, degree: int) -> PermutationGroup:
     if canonical == "trivial":
         return PermutationGroup([], degree=degree, label="trivial")
-    expected: int | None
     if canonical in _ENTRIES:
-        native_degree, expected, builder = _ENTRIES[canonical]
-        if degree != native_degree:
-            raise CatalogError(f"{canonical} acts on {native_degree} points, not {degree}")
-        gens = builder()
+        points, expected, builder = _ENTRIES[canonical]
+        least = most = points
     else:
-        m = re.match(r"^([AS])(\d+)$", canonical)
-        if m:
-            kind, num = m.group(1), int(m.group(2))
-            if num != degree:
-                raise CatalogError(f"{canonical} acts on {num} points, not {degree}")
-            if degree > 9:
-                raise CatalogError(f"{canonical}: degrees above 9 are not materialized")
-            gens = _symmetric(degree) if kind == "S" else _alternating(degree)
-            expected = factorial(degree) if kind == "S" else max(1, factorial(degree) // 2)
-        elif re.match(r"^C(\d+)$", canonical):
-            num = int(canonical[1:])
-            if num != degree:
-                raise CatalogError(f"{canonical} acts on {num} points, not {degree}")
-            gens = _cyclic(degree)
-            expected = degree
-        else:
-            m = re.match(r"^D\(2\*(\d+)\)$", canonical)
-            assert m is not None
-            num = int(m.group(1))
-            if num != degree:
-                raise CatalogError(f"{canonical} acts on {num} points, not {degree}")
-            if degree < 3:
-                raise CatalogError(f"{canonical}: dihedral needs at least 3 points")
-            gens = _dihedral(degree)
-            expected = 2 * degree
-    group = PermutationGroup(gens, degree=degree, label=canonical)
+        (_, _, gens, order, least, most), points = _family(canonical, None)
+        expected, builder = order(points), lambda: gens(points)
+    if degree != points:
+        raise CatalogError(f"{canonical} acts on {points} points, not {degree}")
+    if not least <= degree <= (most or degree):
+        limit = f"{least} to {most}" if most else f"{least} or more"
+        raise CatalogError(f"{canonical}: the catalog builds it on {limit} points")
+    group = PermutationGroup(builder(), degree=degree, label=canonical)
     got = group.order()
     if got != expected:
         raise AssertionError(f"{canonical}: built order {got}, expected {expected}")

@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, SupportsIndex
 
 import numpy as np
 
+from .semigroups import encode_rows, isin_sorted
 from .transform import ParseError, Permutation, Transformation
 
 
@@ -102,8 +103,7 @@ class PermutationGroup:
         if self._sorted_rows is None:
             self._sorted_rows = np.sort(_row_keys(self.element_matrix()))
         key = _row_keys(np.array([p.images], dtype=np.int8))
-        i = int(np.searchsorted(self._sorted_rows, key)[0])
-        return i < self._sorted_rows.shape[0] and bool(self._sorted_rows[i] == key[0])
+        return bool(isin_sorted(key, self._sorted_rows)[0])
 
     def __len__(self) -> int:
         return self.order()
@@ -139,32 +139,30 @@ class PermutationGroup:
         """The orbits on point sets, each set given by its bitmask.
 
         One label per mask m of the 2**degree: the least mask of m's
-        orbit.  Built on first use, by a walk over the generators from
-        each unlabeled mask in ascending order.
+        orbit.  Built on first use, by a fixpoint over all masks at once:
+        each round takes the least label among a mask's images under the
+        generators (and its own), then the label of that label.  A label
+        stays in its mask's orbit and never rises, and at the fixpoint no
+        generator step raises it, so it is one value over the orbit, no
+        more than any member: the least mask.
         """
         if self._subset_orbits is None:
-            size = 1 << self.degree
-            masks = np.arange(size, dtype=np.int64)
-            acts = []
-            for g in self.generators:
-                moved = np.zeros(size, dtype=np.int64)
-                for p, q in enumerate(g.images):
-                    moved |= ((masks >> p) & 1) << q
-                acts.append(moved.tolist())
-            label = [-1] * size
-            # roots ascend, so each root is the least mask of its orbit
-            for root in range(size):
-                if label[root] >= 0:
-                    continue
-                label[root] = root
-                orbit = [root]
-                for m in orbit:  # the list grows as the walk reaches new sets
-                    for act in acts:
-                        y = act[m]
-                        if label[y] < 0:
-                            label[y] = root
-                            orbit.append(y)
-            self._subset_orbits = np.array(label)
+            n = self.degree
+            gens = np.array([g.images for g in self.generators], dtype=np.int64).reshape(-1, n)
+            # row 0 is every mask itself, row j + 1 its image under generator
+            # j, built one highest bit at a time
+            acts = np.zeros((gens.shape[0] + 1, 1 << n), dtype=np.int64)
+            acts[0] = np.arange(1 << n)
+            for b in range(n):
+                acts[1:, 1 << b : 2 << b] = acts[1:, : 1 << b] | (1 << gens[:, b, None])
+            label = acts[0]
+            while True:
+                least = label[acts].min(axis=0)
+                least = least[least]
+                if np.array_equal(least, label):
+                    break
+                label = least
+            self._subset_orbits = label
         return self._subset_orbits
 
     def distinct_restrictions(self, mask: int) -> np.ndarray | None:
@@ -184,9 +182,7 @@ class PermutationGroup:
         if mask not in self._restrictions:
             n = self.degree
             points = [p for p in range(n) if (mask >> p) & 1]
-            keys = self.element_matrix()[:, points].astype(np.int64) @ (
-                n ** np.arange(len(points), dtype=np.int64)
-            )
+            keys = encode_rows(self.element_matrix()[:, points], n)
             # row 0 is the identity, so rows with its key make up G_(I)
             if np.count_nonzero(keys == keys[0]) == 1:
                 self._restrictions[mask] = None

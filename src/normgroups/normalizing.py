@@ -731,27 +731,31 @@ class ConjugacySweep:
         unchecked map.  A rank-filtered cache from before the walk kept
         to the filtered rank counted orbits of other ranks too, and is
         refused by that rule.  The cache must also name the same coset
-        representatives: [N:G] and a digest of their rows.
+        representatives: [N:G] and a digest of their rows.  The bitmap is
+        read only after the header passes, into the fresh sweep's own
+        array, which it must fill exactly, so a load holds one bitmap.
         """
         sweep = cls(group, rank=rank, cosets=cosets)
         with open(path, "rb") as fh:
-            header_line = fh.readline()
-            raw = fh.read()
-        header = json.loads(header_line)
-        expected = sweep._header()
-        for key in ("schema", "kind", "degree", "group", "catalog_hash", "encoding", "rank"):
-            if header.get(key) != expected[key]:
+            header = json.loads(fh.readline())
+            expected = sweep._header()
+            for key in ("schema", "kind", "degree", "group", "catalog_hash", "encoding", "rank"):
+                if header.get(key) != expected[key]:
+                    raise SweepCacheMismatch(
+                        f"cache field {key!r}: have {header.get(key)!r}, need {expected[key]!r}"
+                    )
+            if header.get("cosets") != expected["cosets"]:
                 raise SweepCacheMismatch(
-                    f"cache field {key!r}: have {header.get(key)!r}, need {expected[key]!r}"
+                    f"cache field 'cosets': have {header.get('cosets')!r}, need "
+                    f"{expected['cosets']!r}; the cache was swept under other coset "
+                    f"representatives or before sweeps ran under the normalizer, "
+                    f"delete {path} and rerun"
                 )
-        if header.get("cosets") != expected["cosets"]:
-            raise SweepCacheMismatch(
-                f"cache field 'cosets': have {header.get('cosets')!r}, need "
-                f"{expected['cosets']!r}; the cache was swept under other coset "
-                f"representatives or before sweeps ran under the normalizer, "
-                f"delete {path} and rerun"
-            )
-        sweep.bitmap = Bitmap.frombytes(sweep.total, raw)
+            if not sweep.bitmap.readinto(fh):
+                raise SweepCacheMismatch(
+                    f"cache bitmap is not {sweep.bitmap.data.shape[0]} bytes long; the "
+                    f"cache is truncated or corrupt, delete {path} and rerun"
+                )
         sweep.cursor = header["cursor"]
         sweep.orbits = header["orbits"]
         sweep.singular_seen = header["singular_seen"]

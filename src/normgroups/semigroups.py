@@ -87,9 +87,12 @@ def power_vector(n: int) -> np.ndarray:
 _MAX_VECTOR_DEGREE = 15
 
 
-def encode_rows(rows: np.ndarray) -> np.ndarray:
+def encode_rows(rows: np.ndarray, base: int | None = None) -> np.ndarray:
+    """Each row as one code: its digits in base, by default the row length,
+    most significant first.  Rows may be no longer than base."""
     n = rows.shape[1]
-    return rows.astype(np.int64) @ power_vector(n)
+    base = n if base is None else base
+    return rows.astype(np.int64) @ power_vector(base)[base - n :]
 
 
 def decode_encodings(encs: np.ndarray, n: int) -> np.ndarray:
@@ -548,7 +551,6 @@ def _extend_group(
     holds more than r!/2 elements: by Lagrange the group is then Sym(r),
     and only those elements are returned.
     """
-    pw = power_vector(r)
     full = factorial(r)
     known = set(encs.tolist())
     blocks, enc_blocks = [rows], [encs]
@@ -556,10 +558,10 @@ def _extend_group(
     steps = np.array(gens)
     for x in reps:
         ys = steps[:, x]
-        for y, enc in zip(ys, (ys @ pw).tolist()):
+        for y, enc in zip(ys, encode_rows(ys).tolist()):
             if 2 * len(known) <= full and enc not in known:
                 coset = y[rows]
-                cencs = coset.astype(np.int64) @ pw
+                cencs = encode_rows(coset)
                 known.update(cencs.tolist())
                 blocks.append(coset)
                 enc_blocks.append(cencs)
@@ -604,15 +606,14 @@ def kernel_members(gens: np.ndarray, anchor: Transformation, rows: np.ndarray) -
     popcounts = _popcounts(n)
     if np.any(popcounts[_mask(gens)] != r):
         raise ValueError(f"every generator must have rank {r}")
-    pw = n ** np.arange(r - 1, -1, -1, dtype=np.int64)
-    wanted = rows[:, T].astype(np.int64) @ pw
+    wanted = encode_rows(rows[:, T], n)
     # c has kernel K iff it agrees with c[T] read through the class of each point
     cls = np.searchsorted(np.unique(a), a)
     on_T = gens[:, T]
     frontier = on_T[np.all(on_T[:, cls] == gens, axis=1)]
     if frontier.shape[0] == 0:
         return np.zeros(rows.shape[0], dtype=bool)
-    seen, first = np.unique(frontier.astype(np.int64) @ pw, return_index=True)
+    seen, first = np.unique(encode_rows(frontier, n), return_index=True)
     frontier = frontier[first]
     missing = np.setdiff1d(wanted, seen)
     while missing.shape[0] and frontier.shape[0]:
@@ -623,7 +624,7 @@ def kernel_members(gens: np.ndarray, anchor: Transformation, rows: np.ndarray) -
         for k0 in range(0, gens.shape[0], step):
             cand = gens[k0 : k0 + step][:, cols].reshape(-1, r)
             cand = cand[popcounts[_mask(cand)] == r]
-            encs = cand.astype(np.int64) @ pw
+            encs = encode_rows(cand, n)
             new = ~isin_sorted(encs, seen)
             uniq, once = np.unique(encs[new], return_index=True)
             if not uniq.shape[0]:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from normgroups.catalog import (
@@ -77,6 +80,37 @@ def test_label_aliases():
     assert canonical_label("agl(3,2)") == "ASL(3,2)"
     assert catalog("S", 5).order() == 120
     assert catalog("psl(2, 8)", 9).order() == 504
+
+
+def test_family_labels_take_their_points_from_the_degree():
+    assert canonical_label("C", 5) == "C5"
+    assert canonical_label("d", degree=6) == "D(2*6)"
+    assert catalog("D", 7).order() == 14
+    assert catalog("c", 7).order() == 7
+
+
+# sha256 of the JSON list of (label, degree, catalog_hash, order), sorted by
+# (label, degree), over every named entry at its degree, A, S and C at
+# degrees 1-9, D(2*n) at 3-9 and trivial at 1-12: 61 groups
+CATALOG_DIGEST = "f047e76cc50c9a6d98d260f3f76c6f515c3fd3f7c5b9a3e1f564a53c4d0eedb1"
+NAMED = {
+    "C5": 5, "D(2*5)": 5, "AGL(1,5)": 5, "PSL(2,5)": 6, "PGL(2,5)": 6, "AGL(1,7)": 7,
+    "AGL(1,8)": 8, "AΓL(1,8)": 8, "ASL(3,2)": 8, "PSL(2,7)": 8, "PGL(2,7)": 8,
+    "PSL(2,8)": 9, "PGL(2,8)": 9, "PΓL(2,8)": 9, "ASL(2,3)": 9, "AGL(2,3)": 9, "M12": 12,
+}
+
+
+def test_catalog_builds_are_pinned():
+    pairs = set(NAMED.items())
+    pairs |= {(f"{kind}{n}", n) for kind in "ASC" for n in range(1, 10)}
+    pairs |= {(f"D(2*{n})", n) for n in range(3, 10)}
+    pairs |= {("trivial", n) for n in range(1, 13)}
+    rows = []
+    for label, degree in sorted(pairs):
+        group = catalog(label, degree)
+        rows.append((group.label, degree, catalog_hash(group), group.order()))
+    assert len(rows) == 61
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == CATALOG_DIGEST
 
 
 def test_label_errors():

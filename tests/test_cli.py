@@ -224,11 +224,17 @@ def test_classify_degree_5_table_output(capsys):
 REFERENCE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference")
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 12])
-def test_classify_json_matches_the_reference(capsys, monkeypatch, n):
-    # the benchmark's recorded classify reports, byte for byte
+@pytest.mark.parametrize(
+    "n, workers",
+    [pytest.param(n, None, id=str(n)) for n in (4, 5, 6, 7, 12)]
+    + [pytest.param(n, 2, id=f"{n}-workers2") for n in (4, 5, 6, 7)],
+)
+def test_classify_json_matches_the_reference(capsys, monkeypatch, n, workers):
+    # the benchmark's recorded classify reports, byte for byte, serial and
+    # under a process pool
     monkeypatch.delenv("NORMGROUPS_CACHE_DIR", raising=False)
-    code, out, _ = run(capsys, "classify", "--degree", str(n), "--format", "json")
+    pool = ["--workers", str(workers)] if workers else []
+    code, out, _ = run(capsys, "classify", "--degree", str(n), *pool, "--format", "json")
     assert code == 0
     with open(os.path.join(REFERENCE_DIR, f"classify-{n}.json"), encoding="utf-8") as fh:
         assert out == fh.read()

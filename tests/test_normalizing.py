@@ -598,7 +598,7 @@ def test_exists_section_mapper_matches_brute_force():
     assert True in outcomes
 
 
-@pytest.mark.parametrize("label", ["A7", "AGL(1,7)", "C7"])
+@pytest.mark.parametrize("label", ["A7", "AGL(1,7)", "C7", "PSL(2,8)", "D(2*15)"])
 def test_subset_orbit_labels_match_brute_force(label):
     # two point sets share a label exactly when some element maps one onto
     # the other; so a section of ker(a) shares the label of image(a)
@@ -606,13 +606,18 @@ def test_subset_orbit_labels_match_brute_force(label):
     if label == "C7":
         group = PermutationGroup([Permutation.parse("(1 2 3 4 5 6 7)", 7)], label="C7")
     else:
-        group = catalog(label, 7)
+        group = catalog(label, {"PSL(2,8)": 9, "D(2*15)": 15}.get(label, 7))
+    n = group.degree
     labels = group.subset_orbits()
+    # the image of every mask under every element; each label is the least
+    # image of its mask
     M = group.element_matrix().astype(np.int64)
-    for mask in range(1 << 7):
-        pts = [p for p in range(7) if mask >> p & 1]
-        reached = np.unique((np.int64(1) << M[:, pts]).sum(axis=1))
-        assert np.array_equal(reached, np.flatnonzero(labels == labels[mask]))
+    images = np.zeros((M.shape[0], 1 << n), dtype=np.int64)
+    for p in range(n):
+        images |= ((np.arange(1 << n) >> p) & 1) << M[:, p, None]
+    assert np.array_equal(labels, images.min(axis=0))
+    if n != 7:  # the half below walks every set partition of the points
+        return
     # every kernel, and one image set per orbit on r-sets: whether a mapper
     # exists depends on the image only through its orbit
     outcomes = set()
@@ -901,6 +906,42 @@ def test_load_refuses_rank_cache_that_counted_other_ranks(tmp_path):
     with pytest.raises(SweepCacheMismatch) as err:
         ConjugacySweep.load(str(path), group, rank=2)
     assert "'meta.checked'" in str(err.value) and "delete" in str(err.value)
+
+
+def test_load_refuses_a_short_or_long_bitmap(tmp_path):
+    group = catalog("C5", 5)
+    path = tmp_path / "c5.sweep"
+    ConjugacySweep(group).save(str(path))
+    raw = path.read_bytes()
+    for body in (raw[:-1], raw + b"\0"):
+        path.write_bytes(body)
+        with pytest.raises(SweepCacheMismatch) as err:
+            ConjugacySweep.load(str(path), group)
+        assert "bitmap" in str(err.value) and "delete" in str(err.value)
+
+
+def test_load_holds_one_bitmap(tmp_path):
+    # a resumed sweep used to hold the fresh sweep's bitmap, the bytes read
+    # and their copy at once, and the popcount made a fourth temporary
+    group = catalog("PSL(2,8)", 9)
+    path = str(tmp_path / "psl28-rank2.sweep")
+    sweep = ConjugacySweep(group, rank=2)
+    stream = iter(sweep)
+    for _ in range(3):
+        next(stream)
+    sweep.meta["checked"] = sweep.orbits
+    sweep.save(path)
+    nbytes = sweep.bitmap.data.shape[0]
+    del sweep, stream
+    normalizing._permutation_rows(9)  # cached, so the premarking rows are not counted
+    tracemalloc.start()
+    try:
+        loaded = ConjugacySweep.load(path, group, rank=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.orbits == 3
+    assert peak < 2 * nbytes
 
 
 # -- sweeping decisions ------------------------------------------------------
