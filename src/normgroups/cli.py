@@ -139,8 +139,8 @@ def cmd_check(args) -> int:
     if args.witness:
         g = Permutation.parse(args.witness, group.degree)
         v = check_pair(group, a, g)
-    elif group.label == "M12" and a.one_based() == M12_WITNESS_MAP:
-        # pinned counterexample: report the published witness pair
+    elif a.one_based() == M12_WITNESS_MAP and group.generators == catalog("M12", 12).generators:
+        # the catalog's M12, under any label: report the published witness pair
         v = m12_witness_check()
     else:
         v = is_a_normalizing(group, a)

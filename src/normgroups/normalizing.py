@@ -150,8 +150,9 @@ KNOWN_FAILING_MAPS: dict[tuple[int, str], tuple[int, ...]] = {
 
 _CHECKPOINT_SECONDS = 60.0
 _SWEEP_BATCH = 128
-# candidates per bitmap test in the sweep walk: below a few thousand a
-# test's fixed cost outweighs its cost per candidate
+# candidates per bitmap test in the sweep walk, and permutations per
+# premarking batch: below a few thousand a call's fixed cost outweighs
+# its cost per candidate
 _CANDIDATE_CHUNK = 4096
 
 # r-class tiers: a conjugated by 256, 512, ... strided elements, each tier
@@ -239,24 +240,18 @@ def _image_mask(a: Transformation) -> int:
     return sum(1 << p for p in set(a.images))
 
 
-def _section_masks(a: Transformation) -> np.ndarray:
-    """Bitmask of every section of ker(a): one point from each kernel class."""
-    masks = np.zeros(1, dtype=np.int64)
-    for cls in a.kernel().classes():
-        masks = (masks[:, None] | (np.int64(1) << np.array(cls, dtype=np.int64))).ravel()
-    return masks
+def _has_section_mapper(group: PermutationGroup, a: Transformation) -> bool:
+    """Whether some h in G maps image(a) onto a section of ker(a).
 
-
-def _section_target(group: PermutationGroup, a: Transformation) -> int:
-    """A section of ker(a), as a bitmask, in the G-orbit of image(a); -1 if none.
-
-    Some h in G maps image(a) onto a section exactly when a section shares
-    the orbit label of image(a); there are at most prod |class| sections.
+    A section takes one point from each kernel class, so there are at
+    most prod |class| of them; h exists exactly when the bitmask of one
+    shares the orbit label of image(a).
     """
+    sections = np.zeros(1, dtype=np.int64)
+    for cls in a.kernel().classes():
+        sections = (sections[:, None] | (np.int64(1) << np.array(cls, dtype=np.int64))).ravel()
     label = group.subset_orbits()
-    sections = _section_masks(a)
-    hits = np.flatnonzero(label[sections] == label[_image_mask(a)])
-    return int(sections[hits[0]]) if hits.size else -1
+    return bool((label[sections] == label[_image_mask(a)]).any())
 
 
 def _conjugate_rows(maps: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -386,7 +381,7 @@ class _MapChecker:
                 checked=1, seconds=time.perf_counter() - t0,
             )
 
-        if _section_target(self.group, a) < 0:
+        if not _has_section_mapper(self.group, a):
             bad = np.flatnonzero(~isin_sorted(encode_rows(prods), self._conjugates(a)))
             if bad.size:
                 return verdict(STATUS_NOT, ("shortcut",), int(bad[0]), REASON_CONJUGATE)
@@ -421,7 +416,7 @@ def exists_section_mapper(group: PermutationGroup, a: Transformation) -> Permuta
     members of <a^G> are exactly the single conjugates.
     """
     _require_singular(group, a)
-    if _section_target(group, a) < 0:
+    if not _has_section_mapper(group, a):
         return None
     # h(image) is a section exactly when it meets every kernel class
     classes = np.array(a.kernel().class_ids, dtype=np.int64)
@@ -608,7 +603,9 @@ class ConjugacySweep:
         self.singular_seen = 0
         self.meta: dict = {}
         self.bitmap = Bitmap(self.total)
-        self.bitmap.set_batch(encode_rows(_permutation_rows(n)))
+        perms = _permutation_rows(n)
+        for i in range(0, perms.shape[0], _CANDIDATE_CHUNK):
+            self.bitmap.set_batch(encode_rows(perms[i : i + _CANDIDATE_CHUNK]))
         self._matrix = group.element_matrix()
         if cosets is None:
             cosets = np.arange(n, dtype=np.int8)[None, :]
@@ -1009,7 +1006,7 @@ def is_class_normalizing(group: PermutationGroup, a: Transformation) -> Normaliz
             reps.append(rep)
     checker = _MapChecker(group)
     # mapper-free representatives decide via the exact shortcut; try them first
-    reps.sort(key=lambda r: (_section_target(group, r) >= 0, r.encode()))
+    reps.sort(key=lambda r: (_has_section_mapper(group, r), r.encode()))
     for idx, rep in enumerate(reps):
         v = checker.check(rep)
         if v.status == STATUS_NOT:
@@ -1037,7 +1034,7 @@ def m12_witness_check() -> NormalizingVerdict:
     g = Permutation.parse(M12_WITNESS_G, 12)
     if g not in group:
         raise RuntimeError("witness permutation is not in M12")
-    if _section_target(group, a) >= 0:
+    if _has_section_mapper(group, a):
         raise RuntimeError("unexpected section mapper for the M12 witness map")
     pair = _MapChecker(group).check_pair(a, g)
     if pair.status != STATUS_NOT:

@@ -3,15 +3,15 @@
 The decision engine asks one question of a semigroup <T> generated by
 maps of one rank r: which products a*g lie in it.  Two tools answer.
 
-certificate_from_matrix builds what is needed to test membership in
-the R-class of a directly: the strong orbit of image(a) under right
-multiplication by the generators (the sets reachable from image(a) that
-can also reach back), one word into and one word back per orbit member,
-and the induced stabilizer group, generated by the permutations that
-"enter at a node, step along an edge, and return" induce on image(a).
-contains_products then needs only a strong-orbit lookup and one
-sorted-table search per product, and only the lookup when the induced
-group is all of Sym(r).
+RClassCertificate, also named certificate_from_matrix, builds what is
+needed to test membership in the R-class of a directly: the strong
+orbit of image(a) under right multiplication by the generators (the
+sets reachable from image(a) that can also reach back), one word into
+and one word back per orbit member, and the induced stabilizer group,
+generated by the permutations that "enter at a node, step along an
+edge, and return" induce on image(a).  contains_products then needs
+only a strong-orbit lookup and one sorted-table search per product, and
+only the lookup when the induced group is all of Sym(r).
 
 Every generator has the anchor's rank r, so a step S -> c(S) that keeps
 r points lands on image(c): the target of an edge is its generator's
@@ -34,17 +34,20 @@ alone.  The build rests on that:
 - the words, the strong orbit as tuples and the kept generators are
   read from the trees only when asked for.
 
-The induced group is built one candidate permutation at a time, each
-candidate's validity and return node read from valid: a candidate
-already in the group is skipped (binary search of the sorted
-encodings), any other becomes a generator, and the group is extended
-coset by coset (Dimino's algorithm), one gather per new coset.  Each
-kept generator at least doubles the group, so a certificate stores at
-most log2 |H| of them, and its memory grows linearly with |H|.  Once
-the closure holds more than r!/2 elements the group is Sym(r), by
-Lagrange, so the closure stops there and every later candidate is
-already in it; the certificate records that the group is full, and
-builds the r! permutations only if induced_group() is read.
+The induced group is grown by one function, _grow_group, a chunk of
+nodes at a time: each candidate permutation, with its validity and
+return node read from valid, is encoded by encode_rows, and the chunk's
+encodings are taken in (node, encoding) order.  A candidate already in
+the group is skipped, any other becomes a generator, and the group is
+extended coset by coset (Dimino's algorithm), one gather per new coset
+and one set of encodings per chunk.  Each kept generator at least
+doubles the group, so a certificate stores at most log2 |H| of them,
+and its memory grows linearly with |H|.  Once the group holds more
+than r!/2 elements it is Sym(r), by Lagrange, so the growth stops there
+and every later candidate is already in it; the certificate records
+that the group is full, and builds the r! permutations only if
+induced_group() is read.  _grow_group is the one place that stop is
+made.
 
 kernel_members decides full membership, not just the R-class, for maps
 of the anchor's kernel and rank in a semigroup generated by maps of that
@@ -245,13 +248,14 @@ class TransSemigroup:
 class RClassCertificate:
     """Everything needed to test membership in the R-class of anchor.
 
-    The generator matrix must hold at least one row, its rows must have
-    the anchor's degree, at most 15, and every generator must have the
-    anchor's rank r; anything else raises ValueError.  Building it runs
-    the whole search but keeps arrays only: the strong orbit node of
-    every image mask, the transform back to image(anchor) from every
-    node, and the sorted encodings of the induced group, or only the
-    fact that it is all of Sym(r).
+    gen_matrix is an int8 image matrix, one generator per row, such as
+    the conjugates of the anchor.  It must hold at least one row, its
+    rows must have the anchor's degree, at most 15, and every generator
+    must have the anchor's rank r; anything else raises ValueError.
+    Building it runs the whole search but keeps arrays only: the strong
+    orbit node of every image mask, the transform back to image(anchor)
+    from every node, and the sorted encodings of the induced group, or
+    only the fact that it is all of Sym(r).
     strong_orbit, the words, induced_generators and the rows of a full
     induced group are read from these and the two search trees on first
     use, since membership tests need none of them.
@@ -266,11 +270,10 @@ class RClassCertificate:
     give.  So the nodes, the words and the kept generators do not depend
     on the batching.
 
-    induced_generators holds only the candidates that enlarged the
-    induced group when they were found, in the order found: each lies
-    outside the group generated by the ones before it.  The induced
-    group's closure stops past r!/2 elements, where by Lagrange it is
-    Sym(r) and no later candidate can enlarge it.
+    induced_generators holds the candidates _grow_group kept, in the
+    order found: each lies outside the group generated by the ones
+    before it.  The growth stops past r!/2 elements, where by Lagrange
+    the group is Sym(r) and no later candidate can enlarge it.
     """
 
     def __init__(self, gen_matrix: np.ndarray, anchor: Transformation):
@@ -400,39 +403,29 @@ class RClassCertificate:
         # by a generator, return", a chunk of nodes at a time and in (node,
         # encoding) order, as one node at a time would take them; valid says
         # which steps keep r points, and the step's target which node they
-        # return from.  A candidate joins the generators only when it lies
-        # outside the group built so far, which at least doubles the group,
-        # so at most log2 |H| generators are kept.  Past r!/2 elements the
-        # group is Sym(r) (Lagrange), every candidate lies in it, and the
-        # build stops.  The base goes alone first, since the group is most
-        # often complete there
-        full = factorial(r)
-        group_rows = np.arange(r, dtype=np.int8)[None, :]
-        group_encs = encode_rows(group_rows)
+        # return from.  _grow_group keeps the candidates that enlarge the
+        # group and says when it is Sym(r).  The base goes alone first,
+        # since the group is most often complete there
+        h_rows = np.arange(r, dtype=np.int8)[None, :]
+        h_encs = encode_rows(h_rows)
         absent = r**r  # above every encoding
-        pw = power_vector(r)[:, None]
         lands = t_scc[tgt]  # node each grouped generator's step returns from
         step = max(1, _CANDIDATE_ROW_BUDGET // (m * r))
         self._gens: list[np.ndarray] = []
-        lo, hi = 0, 1
-        while lo < scc.shape[0] and 2 * group_encs.shape[0] <= full:
-            pts = points[lo:hi]
-            # a step that collapses has fewer than r points and no node: its
-            # code is junk and is masked out
+        full, lo, hi = False, 0, 1
+        while lo < scc.shape[0] and not full:
+            # steps[i, k] is the candidate of node lo + i and grouped generator
+            # k, one row of r positions; a step that collapses has fewer than r
+            # points and no node, so its code is junk and is masked out
             known = np.where(valid[node_t[scc[lo:hi]]], lands, -1)
-            codes = pos_of[t_back[known[:, None, :], GmT[pts]]].astype(np.int64)
-            codes *= pw
-            encs = np.sort(np.where(known >= 0, codes.sum(axis=1), absent), axis=1).ravel()
-            fresh = encs < absent
-            fresh &= ~isin_sorted(encs, group_encs)
-            while fresh.any() and 2 * group_encs.shape[0] <= full:
-                self._gens.append(decode_encodings(encs[fresh.argmax(), None], r)[0])
-                group_rows, group_encs = _extend_group(group_rows, group_encs, self._gens, r)
-                fresh &= ~isin_sorted(encs, group_encs)
+            steps = pos_of[t_back[known[:, :, None], GmT[points[lo:hi]].transpose(0, 2, 1)]]
+            encs = encode_rows(steps.reshape(-1, r)).reshape(known.shape)
+            encs = np.sort(np.where(known >= 0, encs, absent), axis=1)
+            h_rows, h_encs, full = _grow_group(h_rows, h_encs, self._gens, encs[encs < absent])
             lo, hi = hi, hi + step
-        self._full = 2 * group_encs.shape[0] > full
+        self._full = full
         # the encodings of Sym(r) are built only when induced_group() is read
-        self._group_encs = None if self._full else group_encs
+        self._group_encs = None if full else h_encs
 
     @functools.cached_property
     def strong_orbit(self) -> tuple[tuple[int, ...], ...]:
@@ -491,6 +484,10 @@ class RClassCertificate:
         return out
 
 
+# the name normalizing builds certificates by, which perfbench/tracer.py wraps
+certificate_from_matrix = RClassCertificate
+
+
 def _tree_word(parent: list[int], via: list[int], i: int) -> tuple[int, ...]:
     """The labels on the tree path from node i up to the root."""
     out: list[int] = []
@@ -536,47 +533,48 @@ def isin_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[pos] == values
 
 
-def _extend_group(
-    rows: np.ndarray, encs: np.ndarray, gens: list[np.ndarray], r: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The group generated by gens, given the one generated by gens[:-1].
+def _grow_group(
+    rows: np.ndarray, encs: np.ndarray, gens: list[np.ndarray], candidates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Grow a group by every candidate encoding that lies outside it.
 
-    rows lists that smaller group H and encs holds its sorted encodings.
-    Dimino's algorithm: the larger group is a union of cosets x H, and a
-    union of cosets that holds H and is closed under left multiplication
-    by every generator is the whole group.  So each coset representative
-    x is multiplied by each generator s, and when s x is new its whole
-    coset s x H joins, with one gather.  Returns (rows, sorted encodings)
-    of the larger group, except that the closure stops as soon as it
-    holds more than r!/2 elements: by Lagrange the group is then Sym(r),
-    and only those elements are returned.
+    rows lists the group, identity first, and encs holds its sorted
+    encodings.  The candidates are taken in order; each one outside the
+    group so far, H, is decoded and appended to gens, and H grows to the
+    group gens generates by Dimino's algorithm: the larger group is a
+    union of cosets x H, and a union of cosets that holds H and is closed
+    under left multiplication by every generator is the whole group.  So
+    each coset representative x is multiplied by each generator s, and
+    when s x is new its whole coset s x H joins, with one gather.  One
+    set of encodings serves every candidate.  Once the group holds more
+    than r!/2 elements it is Sym(r), by Lagrange, so growth stops there
+    and only those elements are listed.  Returns (rows, sorted
+    encodings, whether the group is Sym(r)).
     """
-    full = factorial(r)
+    r = rows.shape[1]
+    half = factorial(r) // 2
     known = set(encs.tolist())
     blocks, enc_blocks = [rows], [encs]
-    reps = [np.arange(r, dtype=rows.dtype)]
-    steps = np.array(gens)
-    for x in reps:
-        ys = steps[:, x]
-        for y, enc in zip(ys, encode_rows(ys).tolist()):
-            if 2 * len(known) <= full and enc not in known:
-                coset = y[rows]
-                cencs = encode_rows(coset)
-                known.update(cencs.tolist())
-                blocks.append(coset)
-                enc_blocks.append(cencs)
-                reps.append(y)
-    return np.concatenate(blocks), np.sort(np.concatenate(enc_blocks))
-
-
-def certificate_from_matrix(Gm: np.ndarray, anchor: Transformation) -> RClassCertificate:
-    """The R-class certificate of anchor in the semigroup Gm's rows generate.
-
-    Gm is an int8 image matrix, one generator per row.  Every row must
-    have the anchor's degree and rank, as the conjugates of the anchor
-    do; RClassCertificate lists what raises ValueError.
-    """
-    return RClassCertificate(Gm, anchor)
+    for c in candidates[~isin_sorted(candidates, encs)].tolist():
+        if len(known) > half:
+            break
+        if c in known:
+            continue
+        gens.append(decode_encodings(np.array([c]), r)[0])
+        steps, group = np.array(gens), np.concatenate(blocks)
+        reps = [group[0]]
+        for x in reps:
+            ys = steps[:, x]
+            for y, enc in zip(ys, encode_rows(ys).tolist()):
+                if len(known) <= half and enc not in known:
+                    coset = y[group]
+                    cencs = encode_rows(coset)
+                    known.update(cencs.tolist())
+                    blocks.append(coset)
+                    enc_blocks.append(cencs)
+                    reps.append(y)
+    full = len(known) > half
+    return np.concatenate(blocks), np.sort(np.concatenate(enc_blocks)), full
 
 
 def kernel_members(gens: np.ndarray, anchor: Transformation, rows: np.ndarray) -> np.ndarray:

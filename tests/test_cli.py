@@ -48,6 +48,20 @@ def test_check_m12_reports_published_witness(capsys):
     assert payload["trace"] == ["shortcut"]
 
 
+def test_check_pins_the_witness_to_the_catalog_m12_not_its_label(tmp_path, capsys):
+    # a group file is labelled by its name: one named M12 that holds only
+    # a comment is the trivial group on 12 points, under which every map
+    # is normalizing
+    path = tmp_path / "M12"
+    path.write_text("# no generators\n")
+    code, payload, _ = run_json(capsys, "check", "--degree", "12", "--group-file", str(path),
+                                "--map", "1,2,3,4,5,5,6,6,6,6,6,6")
+    assert code == 0
+    assert payload["group"] == "M12"
+    assert payload["status"] == "normalizing"
+    assert payload["witness"] is None
+
+
 def test_witness_replay_roundtrip(capsys):
     # any printed witness must reproduce the failure in single-pair mode
     code, payload, _ = run_json(capsys, "check", "--degree", "5", "--group", "D(2*5)",

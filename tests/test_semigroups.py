@@ -11,7 +11,7 @@ from normgroups import normalizing
 from normgroups.catalog import catalog
 from normgroups.semigroups import (
     TransSemigroup,
-    _extend_group,
+    _grow_group,
     _mask,
     certificate_from_matrix,
     decode_encodings,
@@ -468,34 +468,46 @@ def test_induced_generators_generate_the_group():
             assert perm_closure(candidates, r) == grp, label
 
 
-def test_extend_group_matches_perm_closure():
-    # the coset-by-coset closure against the plain one, adding random
-    # generators one at a time, some of them already in the group
+def test_grow_group_matches_perm_closure():
+    # the coset-by-coset growth against the plain closure, a chunk of
+    # candidates at a time: random permutations, some repeated, mixed with
+    # members of the group so far.  The kept generators are exactly the
+    # candidates outside the closure of those kept before them, in order
     rng = random.Random(71)
-    fired, truncated = [0, 0], 0
+    fired, truncated, several = [0, 0], 0, 0
     for r in range(1, 8):
         for _ in range(6):
             rows = np.arange(r, dtype=np.int8)[None, :]
             encs = encode_rows(rows)
             gens: list[np.ndarray] = []
+            want_gens: list[tuple[int, ...]] = []
             for _ in range(rng.randrange(1, 4)):
-                perm = list(range(r))
-                rng.shuffle(perm)
-                gens.append(np.array(perm, dtype=np.int8))
-                rows, encs = _extend_group(rows, encs, gens, r)
-                want = perm_closure([tuple(g.tolist()) for g in gens], r)
+                chunk = [tuple(rng.sample(range(r), r)) for _ in range(rng.randrange(1, 5))]
+                chunk += rng.choices(chunk, k=2)
+                chunk += rng.choices([tuple(row) for row in rows.tolist()], k=2)
+                rng.shuffle(chunk)
+                for c in chunk:
+                    if c not in perm_closure(want_gens, r):
+                        want_gens.append(c)
+                before = len(gens)
+                rows, encs, full = _grow_group(
+                    rows, encs, gens, encode_rows(np.array(chunk, dtype=np.int8))
+                )
+                assert [tuple(g.tolist()) for g in gens] == want_gens
+                several += len(gens) - before > 1
+                want = perm_closure(want_gens, r)
                 got = {tuple(row) for row in rows.tolist()}
-                # the closure stops past r!/2 elements exactly when the
+                # the growth stops past r!/2 elements exactly when the
                 # group is Sym(r); below that it is the whole group
-                stopped = 2 * len(rows) > math.factorial(r)
-                assert stopped == (len(want) == math.factorial(r))
-                assert got == want or (stopped and got < want)
+                assert full == (2 * len(rows) > math.factorial(r))
+                assert full == (len(want) == math.factorial(r))
+                assert got == want or (full and got < want)
                 assert len(rows) == len(got)
                 assert encs.tolist() == sorted(encode_rows(rows).tolist())
                 assert tuple(rows[0].tolist()) == tuple(range(r))
-                fired[stopped] += 1
+                fired[full] += 1
                 truncated += len(got) < len(want)
-    assert min(fired) > 10 and truncated > 0
+    assert min(fired) > 10 and truncated > 0 and several > 0
 
 
 # degrees 4-9; A7, A8 and A9 have at least 1024 elements, so their first
