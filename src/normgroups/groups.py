@@ -11,9 +11,10 @@ same rows as Permutation objects, one at a time, and only when asked.
 The element matrix is the workhorse for the vectorized callers in the
 normalizing machinery, and its sorted rows answer membership by binary
 search.  Orbits here are point orbits and orbits on point sets, the
-latter labeled once per group by subset_orbits; the conjugation orbit
-a^G of a map is read from the element matrix alone, by
-normalizing._conjugate_encodings.
+latter labeled once per group by subset_orbits, with one element per
+point set taking its orbit's least set onto it in subset_transversal;
+the conjugation orbit a^G of a map is read from the element matrix
+alone, by normalizing._conjugate_encodings.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ class PermutationGroup:
         self._inverse_matrix: np.ndarray | None = None
         self._sorted_rows: np.ndarray | None = None
         self._subset_orbits: np.ndarray | None = None
+        self._subset_transversal: np.ndarray | None = None
         self._restrictions: dict[int, np.ndarray | None] = {}
 
     # -- element enumeration -------------------------------------------------
@@ -135,6 +137,17 @@ class PermutationGroup:
                     members.append(y)
         return tuple(members)
 
+    def _mask_actions(self) -> np.ndarray:
+        """Row 0 is every point-set bitmask itself, row j + 1 its image under
+        generator j, built one highest bit at a time."""
+        n = self.degree
+        gens = np.array([g.images for g in self.generators], dtype=np.int64).reshape(-1, n)
+        acts = np.zeros((gens.shape[0] + 1, 1 << n), dtype=np.int64)
+        acts[0] = np.arange(1 << n)
+        for b in range(n):
+            acts[1:, 1 << b : 2 << b] = acts[1:, : 1 << b] | (1 << gens[:, b, None])
+        return acts
+
     def subset_orbits(self) -> np.ndarray:
         """The orbits on point sets, each set given by its bitmask.
 
@@ -147,14 +160,7 @@ class PermutationGroup:
         more than any member: the least mask.
         """
         if self._subset_orbits is None:
-            n = self.degree
-            gens = np.array([g.images for g in self.generators], dtype=np.int64).reshape(-1, n)
-            # row 0 is every mask itself, row j + 1 its image under generator
-            # j, built one highest bit at a time
-            acts = np.zeros((gens.shape[0] + 1, 1 << n), dtype=np.int64)
-            acts[0] = np.arange(1 << n)
-            for b in range(n):
-                acts[1:, 1 << b : 2 << b] = acts[1:, : 1 << b] | (1 << gens[:, b, None])
+            acts = self._mask_actions()
             label = acts[0]
             while True:
                 least = label[acts].min(axis=0)
@@ -164,6 +170,37 @@ class PermutationGroup:
                 label = least
             self._subset_orbits = label
         return self._subset_orbits
+
+    def subset_transversal(self) -> np.ndarray:
+        """Row m is an element taking the least mask of m's orbit onto m.
+
+        A (2**degree, degree) int8 matrix, built on first use by a
+        breadth-first walk over the masks under the generators, a level at
+        a time: the orbits' least masks start with the identity, and a
+        mask first reached from m by generator s gets s after row m.  So
+        p^-1 followed by q, for rows p of a set I and q of a set J in I's
+        orbit, takes I onto J.
+        """
+        if self._subset_transversal is None:
+            n = self.degree
+            acts = self._mask_actions()
+            gens = np.array([g.images for g in self.generators], dtype=np.int8).reshape(-1, n)
+            rows = np.empty((1 << n, n), dtype=np.int8)
+            frontier = np.flatnonzero(self.subset_orbits() == acts[0])
+            reached = np.zeros(1 << n, dtype=bool)
+            reached[frontier] = True
+            rows[frontier] = np.arange(n, dtype=np.int8)
+            while frontier.shape[0]:
+                # step k * |frontier| + i is frontier mask i under generator k
+                targets = acts[1:, frontier].ravel()
+                fresh = np.flatnonzero(~reached[targets])
+                new, first = np.unique(targets[fresh], return_index=True)
+                gen, src = np.divmod(fresh[first], frontier.shape[0])
+                rows[new] = gens[gen[:, None], rows[frontier[src]]]
+                reached[new] = True
+                frontier = new
+            self._subset_transversal = rows
+        return self._subset_transversal
 
     def distinct_restrictions(self, mask: int) -> np.ndarray | None:
         """The first element of each distinct restriction to a point set.

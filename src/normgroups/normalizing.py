@@ -16,12 +16,19 @@ matrix, sorted and deduplicated, least member first.  Every conjugate,
 of a map or of a permutation, comes from one scatter, _conjugate_rows,
 which needs no inverse rows.
 
-Each map is checked on its distinct products only: a*g depends only on g
-on I = image(a), so aG has |G : G_(I)| members, G_(I) the pointwise
-stabilizer of I.  The least g giving each is read from a per-group table
-keyed by the bitmask of I (PermutationGroup.distinct_restrictions), built
-by one pass over G the first time an image set is seen; the least failing
-g stays the witness.  The products go through a fixed strategy order:
+Each map is checked on the image sets of its products where it can be,
+and on its distinct products otherwise.  The image set of a*g is
+g(image(a)), so the products' image sets are the orbit of image(a) on
+point sets, at most C(n, r) of them, read from the group's subset_orbits
+table.  a*g depends only on g on I = image(a), so aG has |G : G_(I)|
+distinct members, G_(I) the pointwise stabilizer of I.  Where products
+are needed as rows, the least g giving each is read from a per-group
+table keyed by the bitmask of I (PermutationGroup.distinct_restrictions),
+built by one pass over G the first time an image set is seen, so the
+least failing g stays the witness.  That happens only in the shortcut
+stage, for image sets a certificate with a proper induced group has to
+decide, and in the closure.  The products go through a fixed strategy
+order:
 
 1. shortcut: if no h in G maps image(a) onto a section of ker(a), then
    any product of two or more conjugates of a drops rank, so the
@@ -36,16 +43,23 @@ g stays the witness.  The products go through a fixed strategy order:
    necessary, so only an all-pass is conclusive.  The certificate is
    first built over growing subsets T of a^G, each holding a itself.
    While 4s <= |G|, tier s is the conjugates of a by the s elements at
-   indices i|G|//s, for s = 256, 512, ...: nested, each holding a (the
-   first element is the identity), and none needing a pass over G.  A
+   indices i|G|//s, for s = 256, 512, ..., and by one element taking
+   image(a) onto each set of its orbit the first 256 picks miss, read
+   from the group's subset_transversal table: nested, each holding a
+   (the first element is the identity), each with a conjugate of every
+   image set a product can have, and none needing a pass over G.  A
    tier past the first is tried only while 7/8 of its picks are
    distinct, which holds about when 4|T| <= |a^G|; the last tier is all
-   of a^G.  Each tier re-tests only the products the earlier ones
-   rejected, so a^G is built in full only after every element-pick tier
-   has rejected something, for the shortcut, or for the closure stage.
-   This is exact: if x is R-related to a in <T>, with a in T and T
-   within a^G, then x is R-related to a in <a^G>, so the tiers together
-   accept exactly what the full certificate accepts.
+   of a^G.  While a tier's induced group is all of Sym(r), a product
+   passes exactly when its image set is a strong-orbit node, so the
+   tier drops those sets and the check passes once none is left; from
+   the first tier with a proper induced group on, the products of the
+   sets left are tested as rows.  Each tier re-tests only what the
+   earlier ones rejected, so a^G is built in full only after every
+   element-pick tier has rejected something, for the shortcut, or for
+   the closure stage.  This is exact: if x is R-related to a in <T>,
+   with a in T and T within a^G, then x is R-related to a in <a^G>, so
+   the tiers together accept exactly what the full certificate accepts.
 3. closure: exact membership of the products the r-class stage left,
    by kernel_members.  A product x of rank r = rank(a) that factors as
    c1 c2 ... ck over a^G has ker(c1) = ker(a), so its values on a
@@ -87,7 +101,7 @@ import time
 from collections import deque
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import islice, permutations
+from itertools import islice
 from math import comb, factorial
 from typing import Callable, Iterator, Sequence
 
@@ -155,10 +169,11 @@ _SWEEP_BATCH = 128
 # its cost per candidate
 _CANDIDATE_CHUNK = 4096
 
-# r-class tiers: a conjugated by 256, 512, ... strided elements, each tier
-# tried only while 4 * its picks <= |G| and, past the first, while 7/8 of
-# its picks are distinct (about 4 * its picks <= |a^G|); a subset nearer
-# |a^G| saves less than a failed tier costs
+# r-class tiers: a conjugated by 256, 512, ... strided elements (and by one
+# element onto each image set the first 256 miss), each tier tried only
+# while 4 * its picks <= |G| and, past the first, while 7/8 of its picks
+# are distinct (about 4 * its picks <= |a^G|); a subset nearer |a^G| saves
+# less than a failed tier costs
 _TIER_FIRST = 256
 _TIER_CUTOFF = 4
 
@@ -321,8 +336,12 @@ class _MapChecker:
 
         Tier s is a conjugated by the s elements at indices i * |G| // s,
         for s = _TIER_FIRST, 2 * _TIER_FIRST, ... while _TIER_CUTOFF * s <=
-        |G|; those indices double with s, so the tiers are nested, and the
-        first element is the identity, so each holds a.  A tier past the
+        |G|; those indices double with s, so the picks are nested, and the
+        first element is the identity, so each tier holds a.  Every tier
+        also holds a conjugated by one element taking image(a) onto each
+        set of its orbit that the first tier's picks miss, read from
+        subset_transversal(), so each tier has a conjugate of every image
+        set a product can have, and the tiers stay nested.  A tier past the
         first is tried only when at least 7/8 of its s picks are distinct:
         s random picks from m conjugates give about s(1 - s/2m) of them,
         so the rule estimates _TIER_CUTOFF * s <= |a^G| without building
@@ -336,74 +355,125 @@ class _MapChecker:
         """
         order = self.M.shape[0]
         size = _TIER_FIRST
+        movers = None
         while _TIER_CUTOFF * size <= order:
-            tier = _conjugate_encodings(self.M[np.arange(size) * order // size], a)
-            if size > _TIER_FIRST and 8 * tier.shape[0] < 7 * size:
+            picks = self.M[np.arange(size) * order // size]
+            tier = _conjugate_encodings(picks, a)
+            if movers is None:
+                movers = self._transported(a, picks)
+            elif 8 * tier.shape[0] < 7 * size:
                 break
-            yield tier
+            yield np.union1d(tier, movers) if movers.size else tier
             size *= 2
         yield self._conjugates(a)
+
+    def _transported(self, a: Transformation, picks: np.ndarray) -> np.ndarray:
+        """Sorted encodings of a conjugated onto each image set no pick reaches.
+
+        One conjugate per set of image(a)'s orbit that no a^p, p in picks,
+        has as its image set p(image(a)).  Row m of subset_transversal()
+        takes the least set of m's orbit onto m, so the inverse of the row
+        of image(a), then the row of m, takes image(a) onto m.
+        """
+        reached = np.zeros(1 << self.group.degree, dtype=bool)
+        reached[_mask(picks[:, list(a.image())])] = True
+        orbit = self._orbit_masks(a)
+        missed = orbit[~reached[orbit]]
+        if not missed.size:
+            return missed
+        rows = self.group.subset_transversal()
+        back = np.argsort(rows[_image_mask(a)])
+        return _conjugate_encodings(rows[missed][:, back], a)
+
+    def _orbit_masks(self, a: Transformation) -> np.ndarray:
+        """The ascending masks of image(a)'s orbit: the image sets of the a*g."""
+        label = self.group.subset_orbits()
+        return np.flatnonzero(label == label[_image_mask(a)])
 
     def check(self, a: Transformation) -> NormalizingVerdict:
         """Decide whether every a*g lies in <a^G>."""
         _require_singular(self.group, a)
-        a64 = np.array(a.images, dtype=np.int64)
-        elements = self.group.elements()
-        # a*g depends only on g on image(a), so each product comes from
-        # |pointwise stabilizer of image(a)| elements; keeping the least g
-        # of each keeps the least failing g as the witness
-        firsts = self.group.distinct_restrictions(_image_mask(a))
-        if firsts is None:
-            return self._decide(a, self.M[:, a64], elements.__getitem__)
-        return self._decide(a, self.M[firsts][:, a64], lambda i: elements[firsts[i]])
+        return self._decide(a, self._orbit_masks(a), functools.partial(self._distinct, a))
+
+    def _distinct(self, a: Transformation) -> np.ndarray:
+        """The least g of each distinct product a*g, as rows in ascending order.
+
+        a*g depends only on g on image(a), so each product comes from
+        |pointwise stabilizer of image(a)| elements; keeping the least g of
+        each keeps the least failing g as the witness.
+        """
+        at = self.group.distinct_restrictions(_image_mask(a))
+        return self.M if at is None else self.M[at]
 
     def check_pair(self, a: Transformation, g: Permutation) -> NormalizingVerdict:
         """Decide membership of the single product a*g in <a^G>."""
         _require_singular(self.group, a)
         if g not in self.group:
             raise ValueError(f"{g.cycle_string()} is not a member of {self.group.label}")
-        return self._decide(a, np.array([(a * g).images], dtype=np.int8), lambda i: g)
+        g8 = np.array([g.images], dtype=np.int8)
+        return self._decide(a, np.array([_image_mask(a * g)]), lambda: g8)
 
     def _decide(
-        self, a: Transformation, prods: np.ndarray, factor: Callable[[int], Permutation]
+        self, a: Transformation, sets: np.ndarray, factors: Callable[[], np.ndarray]
     ) -> NormalizingVerdict:
-        """The strategy ladder over the products a*g given as rows.
+        """The strategy ladder over the products a*g.
 
-        Row i of prods is a * factor(i); the first row found outside
-        <a^G> names factor(i) as the witness.
+        sets holds the ascending masks of the products' image sets, the
+        sets g(image(a)), and factors() the g of the products as rows, in
+        the order their products are tested, built only when products must
+        be tested as rows.  The first product found outside <a^G> names its
+        g as the witness.
         """
         t0 = time.perf_counter()
+        a64 = np.array(a.images, dtype=np.int64)
 
-        def verdict(status: str, trace: tuple[str, ...], bad: int = -1, reason: str = ""):
-            witness = FailureWitness(factor(bad), reason) if bad >= 0 else None
+        def verdict(status: str, trace: tuple[str, ...], g: np.ndarray | None = None,
+                    reason: str = ""):
+            witness = FailureWitness(Permutation(g.tolist()), reason) if g is not None else None
             return NormalizingVerdict(
                 status, self.group.label, map=a, witness=witness, trace=trace,
                 checked=1, seconds=time.perf_counter() - t0,
             )
 
+        def within(sets: np.ndarray) -> np.ndarray:
+            gs = factors()
+            return gs[isin_sorted(_mask(gs[:, list(a.image())]), sets)]
+
         if not _has_section_mapper(self.group, a):
-            bad = np.flatnonzero(~isin_sorted(encode_rows(prods), self._conjugates(a)))
+            gs = factors()
+            bad = np.flatnonzero(~isin_sorted(encode_rows(gs[:, a64]), self._conjugates(a)))
             if bad.size:
-                return verdict(STATUS_NOT, ("shortcut",), int(bad[0]), REASON_CONJUGATE)
+                return verdict(STATUS_NOT, ("shortcut",), gs[bad[0]], REASON_CONJUGATE)
             return verdict(STATUS_NORMALIZING, ("shortcut",))
         # a product R-related to a in <T>, with a in T within a^G, is
         # R-related to a in <a^G>: a tier only accepts what the full
-        # certificate accepts, so each tier re-tests the rest: the rejected
-        # rows with their indices, so a tier accepting all copies no row
-        bad, rest = np.arange(prods.shape[0]), prods
+        # certificate accepts, so each tier re-tests the rest.  While the
+        # induced group is Sym(r), a product passes exactly when its image
+        # set is a node, so the rest is the image sets not yet accepted;
+        # from the first proper induced group on it is the g of the
+        # products rejected so far
+        gs = None
         for encs in self._conjugate_tiers(a):
             conj_rows = decode_encodings(encs, self.group.degree)
             cert = certificate_from_matrix(conj_rows, a)
-            out = ~cert.contains_products(rest)
-            bad, rest = bad[out], rest[out]
-            if bad.size == 0:
+            if gs is None and cert.induced_full:
+                sets = sets[~cert.is_node(sets)]
+                if sets.size == 0:
+                    return verdict(STATUS_NORMALIZING, ("r-class",))
+                continue
+            if gs is None:
+                gs = within(sets)
+            gs = gs[~cert.contains_products(gs[:, a64])]
+            if gs.shape[0] == 0:
                 return verdict(STATUS_NORMALIZING, ("r-class",))
         # the last tier was all of a^G
+        if gs is None:
+            gs = within(sets)
         trace = ("r-class", "closure")
-        inside = kernel_members(conj_rows, a, rest)
+        inside = kernel_members(conj_rows, a, gs[:, a64])
         if inside.all():
             return verdict(STATUS_NORMALIZING, trace)
-        return verdict(STATUS_NOT, trace, int(bad[inside.argmin()]), REASON_MEMBERSHIP)
+        return verdict(STATUS_NOT, trace, gs[inside.argmin()], REASON_MEMBERSHIP)
 
 
 def exists_section_mapper(group: PermutationGroup, a: Transformation) -> Permutation | None:
@@ -503,8 +573,21 @@ def _rank_walk(n: int, rank: int | None) -> Callable[[int], Iterator[np.ndarray]
 def _permutation_rows(n: int) -> np.ndarray:
     """Every permutation of n points as an int8 row, in ascending encoding
     order (read-only; shared by the sweep's premarking, the normalizer and
-    the class sweep)."""
-    rows = np.array(list(permutations(range(n))), dtype=np.int8)
+    the class sweep).
+
+    Built in numpy, one degree at a time: the rows of k points starting
+    with f are f followed by the rows of k - 1 points, each entry at
+    least f shifted up by one, which lists the points other than f in
+    ascending order.
+    """
+    rows = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, n + 1):
+        block = rows.shape[0]
+        out = np.empty((k * block, k), dtype=np.int8)
+        for f in range(k):
+            out[f * block : (f + 1) * block, 0] = f
+            out[f * block : (f + 1) * block, 1:] = rows + (rows >= f)
+        rows = out
     rows.setflags(write=False)
     return rows
 

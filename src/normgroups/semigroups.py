@@ -11,7 +11,9 @@ and one word back per orbit member, and the induced stabilizer group,
 generated by the permutations that "enter at a node, step along an
 edge, and return" induce on image(a).  contains_products then needs
 only a strong-orbit lookup and one sorted-table search per product, and
-only the lookup when the induced group is all of Sym(r).
+only the lookup when the induced group is all of Sym(r).  Two public
+reads, induced_full and is_node, let a caller decide on image sets
+alone in that case.
 
 Every generator has the anchor's rank r, so a step S -> c(S) that keeps
 r points lands on image(c): the target of an edge is its generator's
@@ -35,8 +37,9 @@ alone.  The build rests on that:
   read from the trees only when asked for.
 
 The induced group is grown by one function, _grow_group, a chunk of
-nodes at a time: each candidate permutation, with its validity and
-return node read from valid, is encoded by encode_rows, and the chunk's
+1, 2, 4, ... nodes at a time, up to the row budget.  Each candidate
+permutation whose step keeps r points and returns from a strong-orbit
+node, read from valid, is encoded by encode_rows, and the chunk's
 encodings are taken in (node, encoding) order.  A candidate already in
 the group is skipped, any other becomes a generator, and the group is
 extended coset by coset (Dimino's algorithm), one gather per new coset
@@ -400,30 +403,31 @@ class RClassCertificate:
         self._trees = (scc, np.concatenate(tree_u), np.concatenate(tree_k), back_v, back_k)
 
         # induced stabilizer group: the candidates "enter at a node, step
-        # by a generator, return", a chunk of nodes at a time and in (node,
-        # encoding) order, as one node at a time would take them; valid says
-        # which steps keep r points, and the step's target which node they
-        # return from.  _grow_group keeps the candidates that enlarge the
-        # group and says when it is Sym(r).  The base goes alone first,
-        # since the group is most often complete there
+        # by a generator, return", in (node, encoding) order, as one node at
+        # a time would take them; valid says which steps keep r points, and
+        # the step's target which node they return from, and only the steps
+        # that keep r points and land in the strong orbit are gathered.
+        # _grow_group keeps the candidates that enlarge the group and says
+        # when it is Sym(r).  The chunks grow 1, 2, 4, ... nodes, up to the
+        # row budget: the group is most often complete at the base or within
+        # a few nodes, and then the other nodes' candidates are never built
         h_rows = np.arange(r, dtype=np.int8)[None, :]
         h_encs = encode_rows(h_rows)
-        absent = r**r  # above every encoding
         lands = t_scc[tgt]  # node each grouped generator's step returns from
-        step = max(1, _CANDIDATE_ROW_BUDGET // (m * r))
+        cap = max(1, _CANDIDATE_ROW_BUDGET // (m * r))
         self._gens: list[np.ndarray] = []
-        full, lo, hi = False, 0, 1
+        full, lo, size = False, 0, 1
         while lo < scc.shape[0] and not full:
-            # steps[i, k] is the candidate of node lo + i and grouped generator
-            # k, one row of r positions; a step that collapses has fewer than r
-            # points and no node, so its code is junk and is masked out
-            known = np.where(valid[node_t[scc[lo:hi]]], lands, -1)
-            steps = pos_of[t_back[known[:, :, None], GmT[points[lo:hi]].transpose(0, 2, 1)]]
-            encs = encode_rows(steps.reshape(-1, r)).reshape(known.shape)
-            encs = np.sort(np.where(known >= 0, encs, absent), axis=1)
-            h_rows, h_encs, full = _grow_group(h_rows, h_encs, self._gens, encs[encs < absent])
-            lo, hi = hi, hi + step
-        self._full = full
+            hi = lo + size
+            # candidate e is node lo + i[e] stepped by grouped generator k[e]
+            i, k = np.nonzero(valid[node_t[scc[lo:hi]]] & (lands >= 0))
+            steps = pos_of[t_back[lands[k, None], GmT[points[lo + i], k[:, None]]]]
+            encs = encode_rows(steps)
+            encs = encs[np.lexsort((encs, i))]
+            h_rows, h_encs, full = _grow_group(h_rows, h_encs, self._gens, encs)
+            lo, size = hi, min(2 * size, cap)
+        # whether the induced group is all of Sym(r)
+        self.induced_full = full
         # the encodings of Sym(r) are built only when induced_group() is read
         self._group_encs = None if full else h_encs
 
@@ -451,14 +455,18 @@ class RClassCertificate:
     def induced_group(self) -> frozenset[tuple[int, ...]]:
         """The induced stabilizer group as position permutations."""
         r = self.rank
-        if self._full:
+        if self.induced_full:
             return frozenset(itertools.permutations(range(r)))
         return frozenset(map(tuple, decode_encodings(self._group_encs, r).tolist()))
+
+    def is_node(self, masks: np.ndarray) -> np.ndarray:
+        """Whether each image set, given by its bitmask, is a strong-orbit node."""
+        return self._node_of[masks] >= 0
 
     @property
     def size(self) -> int:
         """Number of elements in the R-class."""
-        order = factorial(self.rank) if self._full else self._group_encs.shape[0]
+        order = factorial(self.rank) if self.induced_full else self._group_encs.shape[0]
         return self._points.shape[0] * order
 
     def contains_products(self, rows: np.ndarray) -> np.ndarray:
@@ -473,7 +481,7 @@ class RClassCertificate:
         xi = rows[:, self._fiber_reps]
         nodes = self._node_of[_mask(xi)]
         found = nodes >= 0
-        if self._full:
+        if self.induced_full:
             return found
         out = np.zeros(rows.shape[0], dtype=bool)
         if not found.any():

@@ -405,3 +405,17 @@ def test_distinct_restrictions_match_brute_force(label, n, sample):
             assert table.tolist() == firsts, (label, points)
             assert len(firsts) * fixers == group.order()
         assert group.distinct_restrictions(mask) is table
+
+
+@pytest.mark.parametrize("label,n", [("A9", 9), ("PSL(2,8)", 9), ("AGL(1,7)", 7), ("D(2*15)", 15)])
+def test_subset_transversal_takes_each_orbit_least_mask_onto_its_own(label, n):
+    # a fresh copy, so the table is built here and not read from a cache
+    group = PermutationGroup(catalog(label, n).generators, degree=n, label=label)
+    rows = group.subset_transversal()
+    assert rows.shape == (1 << n, n) and rows.dtype == np.int8
+    members = {tuple(row) for row in group.element_matrix().tolist()}
+    assert all(tuple(row) in members for row in rows.tolist()), label
+    least = group.subset_orbits()
+    for mask, (row, root) in enumerate(zip(rows.tolist(), least.tolist())):
+        assert sum(1 << row[p] for p in range(n) if (root >> p) & 1) == mask, (label, mask)
+    assert group.subset_transversal() is rows
