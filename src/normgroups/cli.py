@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .catalog import catalog, catalog_labels, catalog_degrees
 from .groups import PermutationGroup, group_from_generator_text
@@ -274,6 +274,19 @@ def cmd_filters(args) -> int:
     return EXIT_OK if report.passed else EXIT_NOT
 
 
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it when refusing a non-integer
+    return parse
+
+
 def _add_group_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--degree", type=int, help="degree n of the action")
     p.add_argument("--group", help="catalog label, e.g. AGL(1,5) or S7")
@@ -284,7 +297,7 @@ def _add_run_flags(
     p: argparse.ArgumentParser,
     resume_help: str = "sweep cache file, checkpointed once a minute and saved at completion",
 ) -> None:
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--workers", type=_at_least(1), default=1, help="parallel worker processes")
     p.add_argument("--resume", help=resume_help)
     p.add_argument("--progress", action="store_true", help="progress on standard error")
     p.add_argument("--progress-interval", type=float, default=5.0, metavar="SECONDS")
@@ -336,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reps", help="list conjugation-orbit representatives")
     _add_group_flags(p)
     p.add_argument("--rank", type=int, help="only representatives of this rank")
-    p.add_argument("--limit", type=int, help="stop after this many representatives")
+    p.add_argument("--limit", type=_at_least(0), help="stop after this many representatives")
     _add_output_flags(p)
     p.set_defaults(fn=cmd_reps)
 

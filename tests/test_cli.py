@@ -116,6 +116,24 @@ def test_degree_and_action_errors_come_from_the_first_check(tmp_path, capsys, ar
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["normalizing", "--degree", "4", "--group", "S4", "--workers", "0"],
+     "argument --workers: 0 is below 1"),
+    (["k-normalizing", "--degree", "4", "--group", "S4", "--rank", "2", "--workers", "-1"],
+     "argument --workers: -1 is below 1"),
+    (["classify", "--degree", "4", "--workers", "0"], "argument --workers: 0 is below 1"),
+    (["reps", "--degree", "4", "--group", "S4", "--limit", "-1"],
+     "argument --limit: -1 is below 0"),
+])
+def test_out_of_range_run_flags_are_usage_errors(capsys, argv, message):
+    # they used to run one process, or list no representatives, and exit 0
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    captured = capsys.readouterr()
+    assert refused.value.code == 2 and not captured.out
+    assert f"error: {message}" in captured.err
+
+
 def test_check_requires_group(capsys):
     code, _, err = run(capsys, "check", "--degree", "5", "--map", "1,1,3,4,1")
     assert code == 2

@@ -7,11 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from normgroups import normalizing
+from normgroups import normalizing, semigroups
 from normgroups.catalog import catalog
 from normgroups.semigroups import (
     TransSemigroup,
     _grow_group,
+    _is_odd,
     _mask,
     certificate_from_matrix,
     decode_encodings,
@@ -472,9 +473,11 @@ def test_grow_group_matches_perm_closure():
     # the coset-by-coset growth against the plain closure, a chunk of
     # candidates at a time: random permutations, some repeated, mixed with
     # members of the group so far.  The kept generators are exactly the
-    # candidates outside the closure of those kept before them, in order
+    # candidates outside the closure of those kept before them, in order.
+    # A group proved Sym(r) is not listed, and no chunk follows it, as in
+    # the certificate
     rng = random.Random(71)
-    fired, truncated, several = [0, 0], 0, 0
+    fired, several = [0, 0], 0
     for r in range(1, 8):
         for _ in range(6):
             rows = np.arange(r, dtype=np.int8)[None, :]
@@ -496,18 +499,125 @@ def test_grow_group_matches_perm_closure():
                 assert [tuple(g.tolist()) for g in gens] == want_gens
                 several += len(gens) - before > 1
                 want = perm_closure(want_gens, r)
-                got = {tuple(row) for row in rows.tolist()}
-                # the growth stops past r!/2 elements exactly when the
-                # group is Sym(r); below that it is the whole group
-                assert full == (2 * len(rows) > math.factorial(r))
                 assert full == (len(want) == math.factorial(r))
-                assert got == want or (full and got < want)
+                fired[full] += 1
+                if full:
+                    assert rows is None and encs is None
+                    break
+                got = {tuple(row) for row in rows.tolist()}
+                assert got == want
                 assert len(rows) == len(got)
                 assert encs.tolist() == sorted(encode_rows(rows).tolist())
                 assert tuple(rows[0].tolist()) == tuple(range(r))
-                fired[full] += 1
-                truncated += len(got) < len(want)
-    assert min(fired) > 10 and truncated > 0 and several > 0
+    assert min(fired) > 10 and several > 0
+
+
+def _grow_from_identity(r, perms):
+    """_grow_group from the trivial group of r points, fed perms as one chunk."""
+    rows = np.arange(r, dtype=np.int8)[None, :]
+    gens: list[np.ndarray] = []
+    candidates = encode_rows(np.array(perms, dtype=np.int8).reshape(-1, r))
+    rows, encs, full = _grow_group(rows, encode_rows(rows), gens, candidates)
+    return rows, encs, full, [tuple(g.tolist()) for g in gens]
+
+
+def _assert_lists_the_closure(rows, encs, perms, r):
+    want = perm_closure([tuple(p) for p in perms], r)
+    assert {tuple(row) for row in rows.tolist()} == want and len(rows) == len(want)
+    assert tuple(rows[0].tolist()) == tuple(range(r))
+    assert encs.tolist() == sorted(encode_rows(rows).tolist())
+
+
+def test_grow_group_lists_pgl25_whose_order_is_the_index_bound():
+    # |PGL(2,5)| = 120 = 5! on 6 points, with an odd generator: the bound
+    # (r - 1)! is strict, so the group is listed, not taken for Sym(6)
+    perms = [p.images for p in catalog("PGL(2,5)", 6).generators]
+    assert any(_is_odd(np.array(p, dtype=np.int8)) for p in perms)
+    rows, encs, full, gens = _grow_from_identity(6, perms)
+    assert not full and len(rows) == 120
+    _assert_lists_the_closure(rows, encs, perms, 6)
+
+
+@pytest.mark.parametrize("r", [5, 6, 7, 8])
+def test_grow_group_lists_alt_from_even_generators(r):
+    # Alt(r) has more than (r - 1)! elements, but no odd member: not full
+    perms = [p.images for p in catalog(f"A{r}", r).generators]
+    rows, encs, full, _ = _grow_from_identity(r, perms)
+    assert not full and 2 * len(rows) == math.factorial(r)
+    _assert_lists_the_closure(rows, encs, perms, r)
+
+
+def _cycle(r, points):
+    p = list(range(r))
+    for x, y in zip(points, points[1:] + points[:1]):
+        p[x] = y
+    return tuple(p)
+
+
+def _record_written_syms(monkeypatch):
+    """The supports _grow_group writes a symmetric group on, as it writes them."""
+    written, write = [], semigroups._symmetric_rows
+
+    def spy(support, r):
+        written.append(sorted(support))
+        return write(support, r)
+
+    monkeypatch.setattr(semigroups, "_symmetric_rows", spy)
+    return written
+
+
+@pytest.mark.parametrize("size", [5, 6, 7])
+def test_grow_group_writes_sym_of_the_support(monkeypatch, size):
+    # a cycle on the last `size` of 8 points and a transposition of two of
+    # them generate Sym of those points: written from the permutation rows
+    # once the group's order proves it
+    omega = list(range(8 - size, 8))
+    perms = [_cycle(8, omega), _cycle(8, omega[:2])]
+    written = _record_written_syms(monkeypatch)
+    rows, encs, full, gens = _grow_from_identity(8, perms)
+    assert written == [omega]
+    assert not full and len(rows) == math.factorial(size)
+    assert gens == perms
+    _assert_lists_the_closure(rows, encs, perms, 8)
+
+
+def test_grow_group_grows_on_from_a_written_sym(monkeypatch):
+    # Sym{3..7}, then Sym{2..7}, both written, then Sym{0,1} x Sym{2..7}:
+    # the support is all 8 points, but 1,440 elements prove nothing
+    perms = [_cycle(8, [3, 4, 5, 6, 7]), _cycle(8, [3, 4]), _cycle(8, [2, 3]),
+             _cycle(8, [0, 1])]
+    written = _record_written_syms(monkeypatch)
+    rows, encs, full, gens = _grow_from_identity(8, perms)
+    assert written == [[3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7]]
+    assert not full and len(rows) == 2 * 720 and gens == perms
+    _assert_lists_the_closure(rows, encs, perms, 8)
+
+
+def test_grow_group_uses_lagrange_alone_below_five_points():
+    # r = 1: the identity is Sym(1) before any candidate
+    assert _grow_from_identity(1, [])[2]
+    for r in (2, 3, 4):
+        perms = [_cycle(r, list(range(r))), _cycle(r, [0, 1])]
+        rows, encs, full, gens = _grow_from_identity(r, perms)
+        assert full and rows is None and encs is None
+        # on 2 points the cycle is (0 1) itself, so one generator is kept
+        assert gens == (perms[:1] if r == 2 else perms)
+    # D8 on 4 points has 8 > 3! elements and odd members, yet is proper
+    perms = [_cycle(4, [0, 1, 2, 3]), _cycle(4, [0, 2])]
+    rows, encs, full, _ = _grow_from_identity(4, perms)
+    assert not full and len(rows) == 8
+    _assert_lists_the_closure(rows, encs, perms, 4)
+    # and on 4 of 6 points, whose support is below five points too
+    perms = [_cycle(6, [2, 3, 4, 5]), _cycle(6, [2, 4])]
+    rows, encs, full, _ = _grow_from_identity(6, perms)
+    assert not full and len(rows) == 8
+    _assert_lists_the_closure(rows, encs, perms, 6)
+
+
+def test_writing_sym_keeps_the_sweeps_permutation_rows_cached():
+    nine = semigroups._permutation_rows(9)
+    _grow_from_identity(8, [_cycle(8, [3, 4, 5, 6, 7]), _cycle(8, [3, 4])])
+    assert semigroups._permutation_rows(9) is nine
 
 
 # degrees 4-9; A7, A8 and A9 have at least 1024 elements, so their first
@@ -584,6 +694,27 @@ def test_sym8_certificate_memory_is_linear_in_the_induced_group():
         tracemalloc.stop()
     assert cert.size // len(cert.strong_orbit) == 40_320
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("label, text", [
+    ("PSL(2,8)", "9,5,1,7,6,8,8,3,4"),  # first tier: all 504 conjugates
+    ("A9", "1,4,9,3,5,6,7,8,9"),  # first tier: 244 conjugates
+])
+def test_rank8_first_tier_certificate_stops_before_listing_alt8(label, text):
+    # the induced group is Sym(8): proved from its order past 7! = 5,040
+    # elements and an odd generator, it is never listed to 8!/2 = 20,160
+    # (3.8 MiB of peak when it was)
+    checker = normalizing._MapChecker(catalog(label, 9))
+    a = Transformation.parse(text)
+    rows = decode_encodings(next(checker._conjugate_tiers(a)), 9)
+    tracemalloc.start()
+    try:
+        cert = certificate_from_matrix(rows, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.rank == 8 and cert.induced_full
+    assert peak < 2 * 2**20, peak
 
 
 def _brute_strong_orbit(gens, a):
