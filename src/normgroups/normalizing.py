@@ -114,7 +114,6 @@ from .semigroups import (
     _MAX_VECTOR_DEGREE,
     TransSemigroup,  # not called here; perfbench/tracer.py wraps this name
     _mask,
-    _permutation_rows,
     _popcounts,
     certificate_from_matrix,
     decode_encodings,
@@ -568,6 +567,29 @@ def _rank_walk(n: int, rank: int | None) -> Callable[[int], Iterator[np.ndarray]
                 yield chunk
 
     return chunks
+
+
+@functools.lru_cache(maxsize=1)
+def _permutation_rows(n: int) -> np.ndarray:
+    """Every permutation of n points as an int8 row, in ascending encoding
+    order (read-only; shared by the sweep's premarking, the normalizer and
+    the class sweep).
+
+    Built in numpy, one degree at a time: the rows of k points starting
+    with f are f followed by the rows of k - 1 points, each entry at
+    least f shifted up by one, which lists the points other than f in
+    ascending order.
+    """
+    rows = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, n + 1):
+        block = rows.shape[0]
+        out = np.empty((k * block, k), dtype=np.int8)
+        for f in range(k):
+            out[f * block : (f + 1) * block, 0] = f
+            out[f * block : (f + 1) * block, 1:] = rows + (rows >= f)
+        rows = out
+    rows.setflags(write=False)
+    return rows
 
 
 def _normalizer_cosets(group: PermutationGroup) -> np.ndarray:

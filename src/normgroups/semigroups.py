@@ -52,11 +52,8 @@ elements (Lagrange), or, for r >= 5 with an odd kept generator, past
 (r - 1)!, since Alt(r) has no proper subgroup of index below r.  Every
 later candidate is then already in it; the certificate records that
 the group is full, and builds the r! permutations only if
-induced_group() is read.  The same count on the kept generators'
-support, of at least five points, proves the group is the symmetric
-group of the support, whose rows are then written in one gather
-instead of listed coset by coset.  _grow_group is the one place these
-stops are made.
+induced_group() is read.  _grow_group is the one place these stops
+are made.
 
 kernel_members decides full membership, not just the R-class, for maps
 of the anchor's kernel and rank in a semigroup generated by maps of that
@@ -567,16 +564,12 @@ def _grow_group(
     far plus |H|, and that count may prove it symmetric (_sym_bound).
     Proved Sym(r), the growth stops before the coset is built, and
     (None, None, True) is returned: every later candidate lies in it.
-    Proved Sym(Ω) on the support Ω of gens, a proper subgroup, its rows
-    are written in one gather instead of finishing the cosets.
     Otherwise returns (rows, sorted encodings, False).
     """
     r = rows.shape[1]
     odd = any(_is_odd(g) for g in gens)
     if rows.shape[0] > _sym_bound(r, odd):
         return None, None, True  # r = 1: the identity alone is Sym(1)
-    # the points some generator moves: the group lies in their Sym
-    support = {i for g in gens for i, x in enumerate(g.tolist()) if x != i}
     known = set(encs.tolist())
     blocks, enc_blocks = [rows], [encs]
     for c in candidates[~isin_sorted(candidates, encs)].tolist():
@@ -585,10 +578,7 @@ def _grow_group(
         g = decode_encodings(np.array([c]), r)[0]
         gens.append(g)
         odd = odd or _is_odd(g)
-        support.update(i for i, x in enumerate(g.tolist()) if x != i)
         full_above = _sym_bound(r, odd)
-        # Sym(Ω) on fewer than five points is cheaper to list than to write
-        fill_above = _sym_bound(len(support), odd) if len(support) >= 5 else full_above
         steps, group = np.array(gens), np.concatenate(blocks)
         reps = [group[0]]
         for x in reps:
@@ -597,15 +587,8 @@ def _grow_group(
                 if enc in known:
                     continue
                 # the new coset y H is disjoint from the cosets listed
-                at_least = len(known) + group.shape[0]
-                if at_least > full_above:
+                if len(known) + group.shape[0] > full_above:
                     return None, None, True
-                if at_least > fill_above:
-                    blocks = [_symmetric_rows(support, r)]
-                    enc_blocks = [encode_rows(blocks[0])]
-                    known = set(enc_blocks[0].tolist())
-                    reps.clear()  # every coset is listed: end the walk
-                    break
                 coset = y[group]
                 cencs = encode_rows(coset)
                 known.update(cencs.tolist())
@@ -615,17 +598,17 @@ def _grow_group(
     return np.concatenate(blocks), np.sort(np.concatenate(enc_blocks)), False
 
 
-def _sym_bound(s: int, odd: bool) -> int:
-    """A subgroup of Sym(s) with more elements than this, and an odd
-    member if odd, is Sym(s).
+def _sym_bound(r: int, odd: bool) -> int:
+    """A subgroup of Sym(r) with more elements than this, and an odd
+    member if odd, is Sym(r).
 
-    More than s!/2 elements make Sym(s) by Lagrange.  For s >= 5, Alt(s)
-    has no proper subgroup of index below s (Dixon & Mortimer,
-    Permutation Groups, 1996, 5.2), so a group with more than (s - 1)!
-    elements meets Alt(s) in more than (s - 1)!/2 of them, an index below
-    s: it holds Alt(s), and with an odd member it is Sym(s).
+    More than r!/2 elements make Sym(r) by Lagrange.  For r >= 5, Alt(r)
+    has no proper subgroup of index below r (Dixon & Mortimer,
+    Permutation Groups, 1996, 5.2), so a group with more than (r - 1)!
+    elements meets Alt(r) in more than (r - 1)!/2 of them, an index below
+    r: it holds Alt(r), and with an odd member it is Sym(r).
     """
-    return factorial(s - 1) if odd and s >= 5 else factorial(s) // 2
+    return factorial(r - 1) if odd and r >= 5 else factorial(r) // 2
 
 
 def _is_odd(perm: np.ndarray) -> bool:
@@ -638,38 +621,6 @@ def _is_odd(perm: np.ndarray) -> bool:
             p[i], p[j] = p[j], j
             odd = not odd
     return odd
-
-
-def _symmetric_rows(support: set[int], r: int) -> np.ndarray:
-    """Sym(support) as rows of r points fixing the others, identity first."""
-    points = np.array(sorted(support), dtype=np.int8)
-    rows = np.tile(np.arange(r, dtype=np.int8), (factorial(len(support)), 1))
-    rows[:, points] = points[_permutation_rows(len(support))]
-    return rows
-
-
-@functools.lru_cache(maxsize=None)
-def _permutation_rows(n: int) -> np.ndarray:
-    """Every permutation of n points as an int8 row, in ascending encoding
-    order (read-only; shared by the sweep's premarking, the normalizer,
-    the class sweep and the symmetric groups _grow_group writes, so each
-    degree asked stays cached).
-
-    Built in numpy, one degree at a time: the rows of k points starting
-    with f are f followed by the rows of k - 1 points, each entry at
-    least f shifted up by one, which lists the points other than f in
-    ascending order.
-    """
-    rows = np.zeros((1, 0), dtype=np.int8)
-    for k in range(1, n + 1):
-        block = rows.shape[0]
-        out = np.empty((k * block, k), dtype=np.int8)
-        for f in range(k):
-            out[f * block : (f + 1) * block, 0] = f
-            out[f * block : (f + 1) * block, 1:] = rows + (rows >= f)
-        rows = out
-    rows.setflags(write=False)
-    return rows
 
 
 def kernel_members(gens: np.ndarray, anchor: Transformation, rows: np.ndarray) -> np.ndarray:

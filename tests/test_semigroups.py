@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from normgroups import normalizing, semigroups
+from normgroups import normalizing
 from normgroups.catalog import catalog
 from normgroups.semigroups import (
     TransSemigroup,
@@ -554,42 +554,16 @@ def _cycle(r, points):
     return tuple(p)
 
 
-def _record_written_syms(monkeypatch):
-    """The supports _grow_group writes a symmetric group on, as it writes them."""
-    written, write = [], semigroups._symmetric_rows
-
-    def spy(support, r):
-        written.append(sorted(support))
-        return write(support, r)
-
-    monkeypatch.setattr(semigroups, "_symmetric_rows", spy)
-    return written
-
-
 @pytest.mark.parametrize("size", [5, 6, 7])
-def test_grow_group_writes_sym_of_the_support(monkeypatch, size):
+def test_grow_group_lists_sym_of_a_proper_support(size):
     # a cycle on the last `size` of 8 points and a transposition of two of
-    # them generate Sym of those points: written from the permutation rows
-    # once the group's order proves it
+    # them generate Sym of those points; Sym(7) has exactly (8 - 1)!
+    # elements and odd members, and the bound is strict, so it is listed
     omega = list(range(8 - size, 8))
     perms = [_cycle(8, omega), _cycle(8, omega[:2])]
-    written = _record_written_syms(monkeypatch)
     rows, encs, full, gens = _grow_from_identity(8, perms)
-    assert written == [omega]
     assert not full and len(rows) == math.factorial(size)
     assert gens == perms
-    _assert_lists_the_closure(rows, encs, perms, 8)
-
-
-def test_grow_group_grows_on_from_a_written_sym(monkeypatch):
-    # Sym{3..7}, then Sym{2..7}, both written, then Sym{0,1} x Sym{2..7}:
-    # the support is all 8 points, but 1,440 elements prove nothing
-    perms = [_cycle(8, [3, 4, 5, 6, 7]), _cycle(8, [3, 4]), _cycle(8, [2, 3]),
-             _cycle(8, [0, 1])]
-    written = _record_written_syms(monkeypatch)
-    rows, encs, full, gens = _grow_from_identity(8, perms)
-    assert written == [[3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7]]
-    assert not full and len(rows) == 2 * 720 and gens == perms
     _assert_lists_the_closure(rows, encs, perms, 8)
 
 
@@ -607,17 +581,6 @@ def test_grow_group_uses_lagrange_alone_below_five_points():
     rows, encs, full, _ = _grow_from_identity(4, perms)
     assert not full and len(rows) == 8
     _assert_lists_the_closure(rows, encs, perms, 4)
-    # and on 4 of 6 points, whose support is below five points too
-    perms = [_cycle(6, [2, 3, 4, 5]), _cycle(6, [2, 4])]
-    rows, encs, full, _ = _grow_from_identity(6, perms)
-    assert not full and len(rows) == 8
-    _assert_lists_the_closure(rows, encs, perms, 6)
-
-
-def test_writing_sym_keeps_the_sweeps_permutation_rows_cached():
-    nine = semigroups._permutation_rows(9)
-    _grow_from_identity(8, [_cycle(8, [3, 4, 5, 6, 7]), _cycle(8, [3, 4])])
-    assert semigroups._permutation_rows(9) is nine
 
 
 # degrees 4-9; A7, A8 and A9 have at least 1024 elements, so their first
