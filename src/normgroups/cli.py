@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Callable, Sequence
@@ -287,6 +288,17 @@ def _at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+def _seconds(text: str) -> float:
+    """An argparse type: a finite number of seconds, zero or more."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number of seconds >= 0")
+    return value
+
+
+_seconds.__name__ = "float"  # argparse names it when refusing a non-number
+
+
 def _add_group_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--degree", type=int, help="degree n of the action")
     p.add_argument("--group", help="catalog label, e.g. AGL(1,5) or S7")
@@ -300,7 +312,7 @@ def _add_run_flags(
     p.add_argument("--workers", type=_at_least(1), default=1, help="parallel worker processes")
     p.add_argument("--resume", help=resume_help)
     p.add_argument("--progress", action="store_true", help="progress on standard error")
-    p.add_argument("--progress-interval", type=float, default=5.0, metavar="SECONDS")
+    p.add_argument("--progress-interval", type=_seconds, default=5.0, metavar="SECONDS")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:

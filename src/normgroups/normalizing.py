@@ -255,18 +255,30 @@ def _image_mask(a: Transformation) -> int:
     return sum(1 << p for p in set(a.images))
 
 
-def _has_section_mapper(group: PermutationGroup, a: Transformation) -> bool:
+def _orbit_masks(group: PermutationGroup, a: Transformation) -> np.ndarray:
+    """The ascending masks of image(a)'s orbit: the image sets of the a*g."""
+    label = group.subset_orbits()
+    return (label == label[_image_mask(a)]).nonzero()[0]
+
+
+def _has_section_mapper(
+    group: PermutationGroup, a: Transformation, orbit: np.ndarray | None = None
+) -> bool:
     """Whether some h in G maps image(a) onto a section of ker(a).
 
-    A section takes one point from each kernel class, so there are at
-    most prod |class| of them; h exists exactly when the bitmask of one
-    shares the orbit label of image(a).
+    A section takes one point from each of the r kernel classes, so an
+    r-set is one exactly when it meets every class; h exists exactly when
+    some set of image(a)'s orbit does.  orbit holds that orbit's masks,
+    as _orbit_masks gives them, and is read from the group when omitted.
     """
-    sections = np.zeros(1, dtype=np.int64)
-    for cls in a.kernel().classes():
-        sections = (sections[:, None] | (np.int64(1) << np.array(cls, dtype=np.int64))).ravel()
-    label = group.subset_orbits()
-    return bool((label[sections] == label[_image_mask(a)]).any())
+    if orbit is None:
+        orbit = _orbit_masks(group, a)
+    # the bitmask of each kernel class, the fiber of one image point
+    fibers: dict[int, int] = {}
+    for p, y in enumerate(a.images):
+        fibers[y] = fibers.get(y, 0) | 1 << p
+    classes = np.array(list(fibers.values()), dtype=np.int64)
+    return bool((orbit[:, None] & classes).all(axis=1).any())
 
 
 def _conjugate_rows(maps: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -331,7 +343,7 @@ class _MapChecker:
         """Sorted distinct encodings of all of a^G: one pass over G."""
         return _conjugate_encodings(self.M, a)
 
-    def _conjugate_tiers(self, a: Transformation) -> Iterator[np.ndarray]:
+    def _conjugate_tiers(self, a: Transformation, orbit: np.ndarray) -> Iterator[np.ndarray]:
         """Sorted encodings of the growing subsets T of a^G the r-class stage tries.
 
         Tier s is a conjugated by the s elements at indices i * |G| // s,
@@ -339,19 +351,19 @@ class _MapChecker:
         |G|; those indices double with s, so the picks are nested, and the
         first element is the identity, so each tier holds a.  Every tier
         also holds a conjugated by one element taking image(a) onto each
-        set of its orbit that the first tier's picks miss, read from
-        subset_transversal(), so each tier has a conjugate of every image
-        set a product can have, and the tiers stay nested.  A tier past the
-        first is tried only when at least 7/8 of its s picks are distinct:
-        s random picks from m conjugates give about s(1 - s/2m) of them,
-        so the rule estimates _TIER_CUTOFF * s <= |a^G| without building
-        a^G.  It is only an estimate: strided picks spread more evenly over
-        an orbit than random ones, so more of them are distinct.  Under
-        Sym{1..7} on 8 points, 5,2,6,5,7,8,3,5 (|a^G| = 2,520) draws 915
-        distinct conjugates from 1,024 picks, so the 1,024-pick tier is
-        tried where 4 * s <= |a^G| would have stopped at 512.  The last
-        tier is all of a^G, built only once every earlier tier has
-        rejected a product.
+        set of its orbit (orbit, the masks _orbit_masks gives) that the
+        first tier's picks miss, read from subset_transversal(), so each
+        tier has a conjugate of every image set a product can have, and
+        the tiers stay nested.  A tier past the first is tried only when
+        at least 7/8 of its s picks are distinct: s random picks from m
+        conjugates give about s(1 - s/2m) of them, so the rule estimates
+        _TIER_CUTOFF * s <= |a^G| without building a^G.  It is only an
+        estimate: strided picks spread more evenly over an orbit than
+        random ones, so more of them are distinct.  Under Sym{1..7} on 8
+        points, 5,2,6,5,7,8,3,5 (|a^G| = 2,520) draws 915 distinct
+        conjugates from 1,024 picks, so the 1,024-pick tier is tried where
+        4 * s <= |a^G| would have stopped at 512.  The last tier is all of
+        a^G, built only once every earlier tier has rejected a product.
         """
         order = self.M.shape[0]
         size = _TIER_FIRST
@@ -360,14 +372,16 @@ class _MapChecker:
             picks = self.M[np.arange(size) * order // size]
             tier = _conjugate_encodings(picks, a)
             if movers is None:
-                movers = self._transported(a, picks)
+                movers = self._transported(a, picks, orbit)
             elif 8 * tier.shape[0] < 7 * size:
                 break
             yield np.union1d(tier, movers) if movers.size else tier
             size *= 2
         yield self._conjugates(a)
 
-    def _transported(self, a: Transformation, picks: np.ndarray) -> np.ndarray:
+    def _transported(
+        self, a: Transformation, picks: np.ndarray, orbit: np.ndarray
+    ) -> np.ndarray:
         """Sorted encodings of a conjugated onto each image set no pick reaches.
 
         One conjugate per set of image(a)'s orbit that no a^p, p in picks,
@@ -377,7 +391,6 @@ class _MapChecker:
         """
         reached = np.zeros(1 << self.group.degree, dtype=bool)
         reached[_mask(picks[:, list(a.image())])] = True
-        orbit = self._orbit_masks(a)
         missed = orbit[~reached[orbit]]
         if not missed.size:
             return missed
@@ -385,15 +398,11 @@ class _MapChecker:
         back = np.argsort(rows[_image_mask(a)])
         return _conjugate_encodings(rows[missed][:, back], a)
 
-    def _orbit_masks(self, a: Transformation) -> np.ndarray:
-        """The ascending masks of image(a)'s orbit: the image sets of the a*g."""
-        label = self.group.subset_orbits()
-        return np.flatnonzero(label == label[_image_mask(a)])
-
     def check(self, a: Transformation) -> NormalizingVerdict:
         """Decide whether every a*g lies in <a^G>."""
         _require_singular(self.group, a)
-        return self._decide(a, self._orbit_masks(a), functools.partial(self._distinct, a))
+        orbit = _orbit_masks(self.group, a)
+        return self._decide(a, orbit, orbit, functools.partial(self._distinct, a))
 
     def _distinct(self, a: Transformation) -> np.ndarray:
         """The least g of each distinct product a*g, as rows in ascending order.
@@ -411,18 +420,24 @@ class _MapChecker:
         if g not in self.group:
             raise ValueError(f"{g.cycle_string()} is not a member of {self.group.label}")
         g8 = np.array([g.images], dtype=np.int8)
-        return self._decide(a, np.array([_image_mask(a * g)]), lambda: g8)
+        orbit = _orbit_masks(self.group, a)
+        return self._decide(a, orbit, np.array([_image_mask(a * g)]), lambda: g8)
 
     def _decide(
-        self, a: Transformation, sets: np.ndarray, factors: Callable[[], np.ndarray]
+        self,
+        a: Transformation,
+        orbit: np.ndarray,
+        sets: np.ndarray,
+        factors: Callable[[], np.ndarray],
     ) -> NormalizingVerdict:
         """The strategy ladder over the products a*g.
 
-        sets holds the ascending masks of the products' image sets, the
-        sets g(image(a)), and factors() the g of the products as rows, in
-        the order their products are tested, built only when products must
-        be tested as rows.  The first product found outside <a^G> names its
-        g as the witness.
+        orbit holds the masks of image(a)'s orbit (_orbit_masks), sets the
+        ascending masks of the products' image sets, the sets g(image(a)),
+        and factors() the g of the products as rows, in the order their
+        products are tested, built only when products must be tested as
+        rows.  The first product found outside <a^G> names its g as the
+        witness.
         """
         t0 = time.perf_counter()
         a64 = np.array(a.images, dtype=np.int64)
@@ -439,7 +454,7 @@ class _MapChecker:
             gs = factors()
             return gs[isin_sorted(_mask(gs[:, list(a.image())]), sets)]
 
-        if not _has_section_mapper(self.group, a):
+        if not _has_section_mapper(self.group, a, orbit):
             gs = factors()
             bad = np.flatnonzero(~isin_sorted(encode_rows(gs[:, a64]), self._conjugates(a)))
             if bad.size:
@@ -453,7 +468,7 @@ class _MapChecker:
         # from the first proper induced group on it is the g of the
         # products rejected so far
         gs = None
-        for encs in self._conjugate_tiers(a):
+        for encs in self._conjugate_tiers(a, orbit):
             conj_rows = decode_encodings(encs, self.group.degree)
             cert = certificate_from_matrix(conj_rows, a)
             if gs is None and cert.induced_full:

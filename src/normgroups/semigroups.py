@@ -27,8 +27,10 @@ alone.  The build rests on that:
 - a segmented minimum over the generators grouped by target reduces it
   to least[t, u], the least generator taking target t onto target u;
 - the forward and backward searches run a whole BFS level at a time on
-  least, with no per-edge sort: a new node keeps its edge from (or into)
-  the earliest node of the level, so the nodes are numbered, and the
+  edge = least < m, with no per-edge sort: a new node keeps its edge
+  from (or into) the earliest node of the level, its first parent, read
+  by one argmax down the level's rows, and the new nodes are ordered by
+  that parent with a stable sort.  So the nodes are numbered, and the
   least generator of each tree edge kept, as a one-node-at-a-time search
   taking targets in mask order would number and keep them;
 - the transforms into and back from each node are carried along the
@@ -42,18 +44,20 @@ permutation whose step keeps r points and returns from a strong-orbit
 node, read from valid, is encoded by encode_rows, and the chunk's
 encodings are taken in (node, encoding) order.  A candidate already in
 the group is skipped, any other becomes a generator, and the group is
-extended coset by coset (Dimino's algorithm), one gather per new coset
-and one set of encodings per chunk.  Each kept generator at least
+extended coset by coset (Dimino's algorithm), one gather per new coset,
+one encoding pass per batch of coset representatives and one set of
+encodings per chunk.  Each kept generator at least
 doubles the group, so a certificate stores at most log2 |H| of them,
 and its memory grows linearly with |H|.  Each new coset shows how many
 elements the group has at least, and the growth stops, before building
 that coset, once the count proves the group is Sym(r): past r!/2
 elements (Lagrange), or, for r >= 5 with an odd kept generator, past
-(r - 1)!, since Alt(r) has no proper subgroup of index below r.  Every
-later candidate is then already in it; the certificate records that
-the group is full, and builds the r! permutations only if
-induced_group() is read.  _grow_group is the one place these stops
-are made.
+(r - 1)!, since Alt(r) has no proper subgroup of index below r.  The
+first new coset is the new generator's own, so when twice the group so
+far passes the bound the growth stops before any gather.  Every later
+candidate is then already in it; the certificate records that the
+group is full, and builds the r! permutations only if induced_group()
+is read.  _grow_group is the one place these stops are made.
 
 kernel_members decides full membership, not just the R-class, for maps
 of the anchor's kernel and rank in a semigroup generated by maps of that
@@ -270,17 +274,20 @@ class RClassCertificate:
     onto target u, where the targets are the generators' image sets: a
     step that keeps r points lands on its generator's image.  Each
     search level takes, for every new node, the earliest node of the
-    current level it is joined to, and orders the new nodes by that node
-    and then by mask (forward) or node number (backward), which is the
-    order a one-node-at-a-time search taking targets in mask order would
-    give.  So the nodes, the words and the kept generators do not depend
-    on the batching.
+    current level it is joined to, its first parent: the argmax of its
+    column of edge = least < m over the level's rows.  A stable sort
+    orders the new nodes by that parent and then by mask (forward) or
+    node number (backward), which is the order a one-node-at-a-time
+    search taking targets in mask order would give.  So the nodes, the
+    words and the kept generators do not depend on the batching.
 
     induced_generators holds the candidates _grow_group kept, in the
     order found: each lies outside the group generated by the ones
     before it.  The growth stops once the group's order proves it is
     Sym(r), past r!/2 elements or, for r >= 5 with an odd kept
-    generator, past (r - 1)!; no later candidate can enlarge it.
+    generator, past (r - 1)!; no later candidate can enlarge it.  When
+    the new generator's own coset already proves it, the growth stops
+    before any gather.
     """
 
     def __init__(self, gen_matrix: np.ndarray, anchor: Transformation):
@@ -292,11 +299,15 @@ class RClassCertificate:
             raise ValueError(f"degree mismatch: generators {n}, anchor {anchor.degree}")
         if n > _MAX_VECTOR_DEGREE:
             raise ValueError(f"degree {n}: certificates stop at degree {_MAX_VECTOR_DEGREE}")
-        a = np.array(anchor.images, dtype=np.int8)
         self.anchor = anchor
-        # image(a) sorted, and the least preimage of each of its points
-        img, self._fiber_reps = np.unique(a, return_index=True)
-        r = self.rank = img.shape[0]
+        # image(a) sorted, and the least preimage of each of its points,
+        # read from the at most 15 images
+        images = anchor.images
+        img = sorted(set(images))
+        self._fiber_reps = np.array([images.index(p) for p in img])
+        r = self.rank = len(img)
+        base = sum(1 << p for p in img)
+        img = np.array(img)
         pos_of = self._pos_of = np.full(n, -1, dtype=np.int8)
         pos_of[img] = np.arange(r, dtype=np.int8)
         popcounts = _popcounts(n)
@@ -312,7 +323,6 @@ class RClassCertificate:
         # generator j keeps target t at r points, a chunk of generators at
         # a time.  A segmented minimum over each group gives least[t, u],
         # the least generator taking target t onto target u, or m for none
-        base = _mask(img)
         is_target = np.zeros(1 << n, dtype=bool)
         is_target[gen_masks] = True
         is_target[base] = True
@@ -339,12 +349,15 @@ class RClassCertificate:
             # a step keeps r points exactly when it covers its generator's image
             keeps = np.equal(hit, grouped_masks[j0:j1], out=valid[:, j0:j1])
             group = tgt[j0:j1]
-            starts = np.flatnonzero(np.diff(group, prepend=-1))
+            first = np.empty(j1 - j0, dtype=bool)
+            first[0] = True
+            np.not_equal(group[1:], group[:-1], out=first[1:])
+            starts = first.nonzero()[0]
             # the first valid position j of each group, as the largest
             # j1 - j, or 0 when there is none
             from_end = keeps * np.arange(j1 - j0, 0, -1, dtype=np.int32)
             from_end = np.maximum.reduceat(from_end, starts, axis=1)
-            found = np.where(from_end > 0, order[j1 - from_end.clip(min=1)], m)
+            found = np.where(from_end > 0, order[j1 - np.maximum(from_end, 1)], m)
             cols = group[starts]
             least[:, cols] = np.minimum(least[:, cols], found)
 
@@ -353,22 +366,22 @@ class RClassCertificate:
         # and the level's new nodes are numbered in (parent, mask) order, as
         # one node at a time in mask order would number them.  t_in[v] is
         # the product along the tree word into v, carried down the tree one
-        # level at a time, and t_in[v][img] lists v's points
+        # level at a time, and t_in[v][img] lists v's points.  edge[t, u]
+        # says whether some generator takes target t onto target u
+        edge = least < m
         node_t = np.empty(nt, dtype=np.int64)  # target of each node
         node_t[0] = number[base]
-        t_node = np.full(nt, -1, dtype=np.int64)  # node of each target
-        t_node[node_t[0]] = 0
+        unseen = np.ones(nt, dtype=bool)  # targets that are not nodes yet
+        unseen[node_t[0]] = False
         t_in = np.empty((nt, n), dtype=np.int8)
         t_in[0] = np.arange(n)
         tree_u, tree_k = [np.full(1, -1)], [np.full(1, -1)]
         level, count = np.zeros(1, dtype=np.int64), 1
         while level.shape[0]:
-            reach = least[node_t[level]] < m
-            reach[:, t_node >= 0] = False
-            i, t = _first_in_columns(reach)
+            i, t = _first_in_columns(edge[node_t[level]] & unseen)
             u, new = level[i], np.arange(count, count + t.shape[0])
             k = least[node_t[u], t]
-            node_t[new], t_node[t] = t, new
+            node_t[new], unseen[t] = t, False
             t_in[new] = Gm[k[:, None], t_in[u]]
             tree_u.append(u)
             tree_k.append(k)
@@ -389,8 +402,8 @@ class RClassCertificate:
         t_back[0] = np.arange(n)
         level = np.zeros(1, dtype=np.int64)
         while level.shape[0]:
-            out = np.flatnonzero(~in_scc)
-            i, j = _first_in_columns(least[node_t[out], node_t[level][:, None]] < m)
+            out = (~in_scc).nonzero()[0]
+            i, j = _first_in_columns(edge[node_t[out], node_t[level][:, None]])
             level, w = out[j], level[i]
             k = least[node_t[level], node_t[w]]
             in_scc[level] = True
@@ -418,17 +431,20 @@ class RClassCertificate:
         h_rows = np.arange(r, dtype=np.int8)[None, :]
         h_encs = encode_rows(h_rows)
         lands = t_scc[tgt]  # node each grouped generator's step returns from
+        returns = lands >= 0
         cap = max(1, _CANDIDATE_ROW_BUDGET // (m * r))
         self._gens: list[np.ndarray] = []
         full, lo, size = False, 0, 1
         while lo < scc.shape[0] and not full:
             hi = lo + size
             # candidate e is node lo + i[e] stepped by grouped generator k[e]
-            i, k = np.nonzero(valid[node_t[scc[lo:hi]]] & (lands >= 0))
+            i, k = (valid[node_t[scc[lo:hi]]] & returns).nonzero()
             steps = pos_of[t_back[lands[k, None], GmT[points[lo + i], k[:, None]]]]
             encs = encode_rows(steps)
-            encs = encs[np.lexsort((encs, i))]
-            h_rows, h_encs, full = _grow_group(h_rows, h_encs, self._gens, encs)
+            order = np.lexsort((encs, i))
+            h_rows, h_encs, full = _grow_group(
+                h_rows, h_encs, self._gens, steps[order], encs[order]
+            )
             lo, size = hi, min(2 * size, cap)
         # whether the induced group is all of Sym(r)
         self.induced_full = full
@@ -525,8 +541,16 @@ def _mask(points: np.ndarray) -> np.ndarray:
 
 
 def _first_in_columns(hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, column) of the first hit in each column, in row-major order."""
-    return np.nonzero(hits & (hits.cumsum(axis=0) == 1))
+    """(row, column) of the first hit in each column, in row-major order.
+
+    hits must have at least one row.  argmax gives each column's first
+    true row, and a stable sort by row keeps the columns of one row
+    ascending.
+    """
+    cols = hits.any(axis=0).nonzero()[0]
+    rows = hits.argmax(axis=0)[cols]
+    order = rows.argsort(kind="stable")
+    return rows[order], cols[order]
 
 
 @functools.lru_cache(maxsize=None)
@@ -541,30 +565,40 @@ def _popcounts(n: int) -> np.ndarray:
 
 def isin_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Membership of each value in a sorted, non-empty table."""
-    pos = np.searchsorted(table, values).clip(max=table.shape[0] - 1)
+    pos = np.minimum(np.searchsorted(table, values), table.shape[0] - 1)
     return table[pos] == values
 
 
 def _grow_group(
-    rows: np.ndarray, encs: np.ndarray, gens: list[np.ndarray], candidates: np.ndarray
+    rows: np.ndarray,
+    encs: np.ndarray,
+    gens: list[np.ndarray],
+    cand_rows: np.ndarray,
+    cand_encs: np.ndarray,
 ) -> tuple[np.ndarray | None, np.ndarray | None, bool]:
-    """Grow a group by every candidate encoding that lies outside it.
+    """Grow a group by every candidate that lies outside it.
 
     rows lists the group, identity first, and encs holds its sorted
-    encodings.  The candidates are taken in order; each one outside the
-    group so far, H, is decoded and appended to gens, and H grows to the
-    group gens generates by Dimino's algorithm: the larger group is a
-    union of cosets x H, and a union of cosets that holds H and is closed
-    under left multiplication by every generator is the whole group.  So
-    each coset representative x is multiplied by each generator s, and
-    when s x is new its whole coset s x H joins, with one gather.  One
-    set of encodings serves every candidate.
+    encodings; the candidates are permutation rows with their encodings.
+    They are taken in order; each one outside the group so far, H, is
+    appended to gens, and H grows to the group gens generates by Dimino's
+    algorithm: the larger group is a union of cosets x H, and a union of
+    cosets that holds H and is closed under left multiplication by every
+    generator is the whole group.  So each coset representative x, in
+    the order found, is multiplied by each generator s in turn, and when
+    s x is new its whole coset s x H joins, with one gather.  The
+    identity's products are the generators, of which the new one, g,
+    alone lies outside H, so g H is the first new coset; after it the
+    products of all the representatives found since the last batch are
+    built and encoded at once.  One set of encodings serves every
+    candidate.
 
     Each new coset shows the group holds at least the elements listed so
     far plus |H|, and that count may prove it symmetric (_sym_bound).
     Proved Sym(r), the growth stops before the coset is built, and
     (None, None, True) is returned: every later candidate lies in it.
-    Otherwise returns (rows, sorted encodings, False).
+    When g H alone, 2 |H| elements, proves it, the growth stops before
+    any gather.  Otherwise returns (rows, sorted encodings, False).
     """
     r = rows.shape[1]
     odd = any(_is_odd(g) for g in gens)
@@ -572,29 +606,37 @@ def _grow_group(
         return None, None, True  # r = 1: the identity alone is Sym(1)
     known = set(encs.tolist())
     blocks, enc_blocks = [rows], [encs]
-    for c in candidates[~isin_sorted(candidates, encs)].tolist():
+    fresh = (~isin_sorted(cand_encs, encs)).nonzero()[0]
+    for j, c in zip(fresh.tolist(), cand_encs[fresh].tolist()):
         if c in known:
             continue
-        g = decode_encodings(np.array([c]), r)[0]
+        g = cand_rows[j].copy()  # not a view that holds the whole chunk
         gens.append(g)
         odd = odd or _is_odd(g)
         full_above = _sym_bound(r, odd)
+        if 2 * len(known) > full_above:
+            return None, None, True
         steps, group = np.array(gens), np.concatenate(blocks)
-        reps = [group[0]]
-        for x in reps:
-            ys = steps[:, x]
-            for y, enc in zip(ys, encode_rows(ys).tolist()):
+        # the first batch is g alone, the identity's one new product
+        ys, ys_encs, reps, done = g[None], [c], [], 0
+        while True:
+            for i, enc in enumerate(ys_encs):
                 if enc in known:
                     continue
                 # the new coset y H is disjoint from the cosets listed
                 if len(known) + group.shape[0] > full_above:
                     return None, None, True
+                y = ys[i]
                 coset = y[group]
                 cencs = encode_rows(coset)
                 known.update(cencs.tolist())
                 blocks.append(coset)
                 enc_blocks.append(cencs)
                 reps.append(y)
+            if done == len(reps):
+                break
+            ys = steps[:, np.array(reps[done:])].swapaxes(0, 1).reshape(-1, r)
+            ys_encs, done = encode_rows(ys).tolist(), len(reps)
     return np.concatenate(blocks), np.sort(np.concatenate(enc_blocks)), False
 
 
@@ -659,7 +701,7 @@ def kernel_members(gens: np.ndarray, anchor: Transformation, rows: np.ndarray) -
         return np.zeros(rows.shape[0], dtype=bool)
     seen, first = np.unique(encode_rows(frontier, n), return_index=True)
     frontier = frontier[first]
-    missing = np.setdiff1d(wanted, seen)
+    missing = wanted[~isin_sorted(wanted, seen)]
     while missing.shape[0] and frontier.shape[0]:
         f = frontier.shape[0]
         step = max(1, _CANDIDATE_ROW_BUDGET // (f * r))
@@ -668,12 +710,13 @@ def kernel_members(gens: np.ndarray, anchor: Transformation, rows: np.ndarray) -
         for k0 in range(0, gens.shape[0], step):
             cand = gens[k0 : k0 + step][:, cols].reshape(-1, r)
             cand = cand[popcounts[_mask(cand)] == r]
-            encs = encode_rows(cand, n)
-            new = ~isin_sorted(encs, seen)
-            uniq, once = np.unique(encs[new], return_index=True)
-            if not uniq.shape[0]:
+            # the chunk's distinct tuples first, so the lookup runs on those
+            uniq, once = np.unique(encode_rows(cand, n), return_index=True)
+            new = ~isin_sorted(uniq, seen)
+            if not new.any():
                 continue
-            fresh_rows.append(cand[new][once])
+            uniq = uniq[new]
+            fresh_rows.append(cand[once[new]])
             seen = np.insert(seen, np.searchsorted(seen, uniq), uniq)
             missing = missing[~isin_sorted(missing, uniq)]
             if not missing.shape[0]:

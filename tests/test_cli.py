@@ -134,6 +134,19 @@ def test_out_of_range_run_flags_are_usage_errors(capsys, argv, message):
     assert f"error: {message}" in captured.err
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_progress_interval_must_be_finite_and_not_negative(capsys, value):
+    # -1 printed after every batch, and nan or inf never before the last
+    # line; 0 stays valid (test_progress_goes_to_stderr_only runs it)
+    with pytest.raises(SystemExit) as refused:
+        main(["normalizing", "--degree", "4", "--group", "A4", "--progress",
+              "--progress-interval", value])
+    captured = capsys.readouterr()
+    assert refused.value.code == 2 and not captured.out
+    assert (f"error: argument --progress-interval: {value} is not a finite number "
+            "of seconds >= 0") in captured.err
+
+
 def test_check_requires_group(capsys):
     code, _, err = run(capsys, "check", "--degree", "5", "--map", "1,1,3,4,1")
     assert code == 2

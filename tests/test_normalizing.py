@@ -202,7 +202,7 @@ def test_conjugate_tiers_accept_only_what_the_full_certificate_accepts():
             orbit = set(np.flatnonzero(label == label[sum(1 << p for p in image)]).tolist())
             conj_encs = checker._conjugates(a)
             full = _certified(checker, a, conj_encs)
-            tiers = list(checker._conjugate_tiers(a))
+            tiers = list(checker._conjugate_tiers(a, normalizing._orbit_masks(group, a)))
             # every tier lies in a^G and holds a once; each lies in the
             # next, and the last is all of a^G; every set of image(a)'s
             # orbit is the image set of some member of every tier
@@ -745,7 +745,7 @@ def test_exists_section_mapper_matches_brute_force():
     assert True in outcomes
 
 
-@pytest.mark.parametrize("label", ["A7", "AGL(1,7)", "C7", "PSL(2,8)", "D(2*15)"])
+@pytest.mark.parametrize("label", ["A7", "AGL(1,7)", "C7", "PSL(2,8)", "D(2*15)", "M12"])
 def test_subset_orbit_labels_match_brute_force(label):
     # two point sets share a label exactly when some element maps one onto
     # the other; so a section of ker(a) shares the label of image(a)
@@ -753,16 +753,31 @@ def test_subset_orbit_labels_match_brute_force(label):
     if label == "C7":
         group = PermutationGroup([Permutation.parse("(1 2 3 4 5 6 7)", 7)], label="C7")
     else:
-        group = catalog(label, {"PSL(2,8)": 9, "D(2*15)": 15}.get(label, 7))
+        group = catalog(label, {"PSL(2,8)": 9, "D(2*15)": 15, "M12": 12}.get(label, 7))
     n = group.degree
     labels = group.subset_orbits()
     # the image of every mask under every element; each label is the least
-    # image of its mask
-    M = group.element_matrix().astype(np.int64)
-    images = np.zeros((M.shape[0], 1 << n), dtype=np.int64)
-    for p in range(n):
-        images |= ((np.arange(1 << n) >> p) & 1) << M[:, p, None]
-    assert np.array_equal(labels, images.min(axis=0))
+    # image of its mask.  Under M12 that table would take 95,040 * 4,096
+    # int64s, 3 GiB, so M12 is checked on the section-mapper half only
+    if label != "M12":
+        M = group.element_matrix().astype(np.int64)
+        images = np.zeros((M.shape[0], 1 << n), dtype=np.int64)
+        for p in range(n):
+            images |= ((np.arange(1 << n) >> p) & 1) << M[:, p, None]
+        assert np.array_equal(labels, images.min(axis=0))
+    if n in (12, 15):
+        # seeded random maps; the M12 witness map has no section mapper
+        rng = random.Random(n)
+        maps = [Transformation.from_one_based(M12_WITNESS_MAP)] if n == 12 else []
+        while len(maps) < 40:
+            pts = rng.sample(range(n), rng.randrange(2, n))
+            maps.append(Transformation([rng.choice(pts) for _ in range(n)]))
+        outcomes = set()
+        for a in maps:
+            exists = bool(_section_mapper_rows(group, a).any())
+            assert normalizing._has_section_mapper(group, a) == exists, a.one_based()
+            outcomes.add(exists)
+        assert outcomes == {True, False}
     if n != 7:  # the half below walks every set partition of the points
         return
     # every kernel, and one image set per orbit on r-sets: whether a mapper

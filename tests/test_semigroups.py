@@ -11,6 +11,7 @@ from normgroups import normalizing
 from normgroups.catalog import catalog
 from normgroups.semigroups import (
     TransSemigroup,
+    _first_in_columns,
     _grow_group,
     _is_odd,
     _mask,
@@ -493,8 +494,9 @@ def test_grow_group_matches_perm_closure():
                     if c not in perm_closure(want_gens, r):
                         want_gens.append(c)
                 before = len(gens)
+                chunk_rows = np.array(chunk, dtype=np.int8)
                 rows, encs, full = _grow_group(
-                    rows, encs, gens, encode_rows(np.array(chunk, dtype=np.int8))
+                    rows, encs, gens, chunk_rows, encode_rows(chunk_rows)
                 )
                 assert [tuple(g.tolist()) for g in gens] == want_gens
                 several += len(gens) - before > 1
@@ -516,8 +518,10 @@ def _grow_from_identity(r, perms):
     """_grow_group from the trivial group of r points, fed perms as one chunk."""
     rows = np.arange(r, dtype=np.int8)[None, :]
     gens: list[np.ndarray] = []
-    candidates = encode_rows(np.array(perms, dtype=np.int8).reshape(-1, r))
-    rows, encs, full = _grow_group(rows, encode_rows(rows), gens, candidates)
+    candidates = np.array(perms, dtype=np.int8).reshape(-1, r)
+    rows, encs, full = _grow_group(
+        rows, encode_rows(rows), gens, candidates, encode_rows(candidates)
+    )
     return rows, encs, full, [tuple(g.tolist()) for g in gens]
 
 
@@ -581,6 +585,49 @@ def test_grow_group_uses_lagrange_alone_below_five_points():
     rows, encs, full, _ = _grow_from_identity(4, perms)
     assert not full and len(rows) == 8
     _assert_lists_the_closure(rows, encs, perms, 4)
+
+
+@pytest.mark.parametrize("r, first, then", [
+    # 2 |{1}| = 2 > 2!/2
+    (2, [], [(1, 0)]),
+    # 2 |C3| = 6 > 3!/2
+    (3, [_cycle(3, [0, 1, 2])], [_cycle(3, [0, 1])]),
+    # AGL(1,5) has 20 elements and odd ones; 2 * 20 > (5 - 1)! = 24, below
+    # the 5!/2 = 60 of Lagrange
+    (5, [_cycle(5, [0, 1, 2, 3, 4]), (0, 2, 4, 1, 3)], [_cycle(5, [0, 1])]),
+])
+def test_grow_group_stops_at_a_first_coset_that_proves_sym(r, first, then):
+    # the new generator g and the group H so far: the coset g H alone
+    # proves Sym(r), so the growth stops with one more kept generator,
+    # whatever candidates follow
+    rows, encs, full, gens = _grow_from_identity(r, first)
+    assert not full and len(rows) == len(perm_closure(first, r))
+    kept = [np.array(g, dtype=np.int8) for g in gens]
+    candidates = np.array(then + [_cycle(r, [0, 1])] * 2, dtype=np.int8)
+    rows, encs, full = _grow_group(rows, encs, kept, candidates, encode_rows(candidates))
+    assert full and rows is None and encs is None
+    assert [tuple(g.tolist()) for g in kept] == gens + then
+
+
+def _first_hits_brute_force(hits):
+    pairs = []
+    for j in range(hits.shape[1]):
+        rows = [i for i in range(hits.shape[0]) if hits[i, j]]
+        if rows:
+            pairs.append((rows[0], j))
+    pairs.sort()
+    return pairs
+
+
+def test_first_in_columns_matches_brute_force():
+    rng = np.random.default_rng(23)
+    shapes = [(1, 1), (1, 7), (7, 1), (3, 0), (1, 0), (5, 9), (12, 40), (40, 12)]
+    for rows, cols in shapes * 6:
+        hits = rng.random((rows, cols)) < rng.choice([0.0, 0.05, 0.3, 0.9])
+        hits[:, rng.random(cols) < 0.2] = False  # all-false columns
+        i, j = _first_in_columns(hits)
+        assert i.shape == j.shape
+        assert list(zip(i.tolist(), j.tolist())) == _first_hits_brute_force(hits)
 
 
 # degrees 4-9; A7, A8 and A9 have at least 1024 elements, so their first
@@ -669,7 +716,8 @@ def test_rank8_first_tier_certificate_stops_before_listing_alt8(label, text):
     # (3.8 MiB of peak when it was)
     checker = normalizing._MapChecker(catalog(label, 9))
     a = Transformation.parse(text)
-    rows = decode_encodings(next(checker._conjugate_tiers(a)), 9)
+    orbit = normalizing._orbit_masks(checker.group, a)
+    rows = decode_encodings(next(checker._conjugate_tiers(a, orbit)), 9)
     tracemalloc.start()
     try:
         cert = certificate_from_matrix(rows, a)
