@@ -229,7 +229,7 @@ def cmd_reps(args) -> int:
 
 
 def cmd_groups(args) -> int:
-    degrees = [args.degree] if args.degree else list(catalog_degrees())
+    degrees = [args.degree] if args.degree is not None else list(catalog_degrees())
     rows = []
     lines = []
     for n in degrees:

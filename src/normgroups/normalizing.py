@@ -61,13 +61,20 @@ order:
    with a in T and T within a^G, then x is R-related to a in <a^G>, so
    the tiers together accept exactly what the full certificate accepts.
 3. closure: exact membership of the products the r-class stage left,
-   by kernel_members.  A product x of rank r = rank(a) that factors as
-   c1 c2 ... ck over a^G has ker(c1) = ker(a), so its values on a
-   transversal of ker(a) are those of c1 pushed through c2, ..., ck, an
-   injective r-tuple at every step.  A breadth first search over those
-   tuples, from the conjugates of kernel ker(a), decides membership with
-   no cap: it visits at most n!/(n-r)! tuples.  The stage keeps its
-   trace label so reports stay as they were.
+   decided from the last tier's certificate, over all of a^G.  A product
+   x of a's kernel K and rank r lies in <a^G> exactly when x^(h^-1) lies
+   in R_a for some h in G with ker(a^h) = K.  Such an x is c*s with c in
+   a^G of kernel K.  The image-set digraph of a^G is G-invariant and G is
+   transitive on its vertices, so it is balanced: every set reachable
+   from image(c) reaches back, by some w, and with o the order of the
+   permutation s*w induces on image(c), x*w*(s*w)^(o-1) = c, so x R c.
+   Conjugation by h is an automorphism of <a^G>, so R_(a^h) = (R_a)^h.
+   The rows are tested against R_a, and then, only while some kernel-K
+   conjugate lies outside the R-classes covered so far, against the
+   R-class of the first such one, through an h found by one pass over G.
+   The stage keeps its trace label so reports stay as they were.
+   TransSemigroup and the tuple search over the injective r-tuples on a
+   transversal of K, which this stage replaced, are the tests' oracles.
 
 check_pair, which replays one witness, runs the same ladder on the single
 product a*g, so a replay accepted by the first tier also never passes
@@ -120,7 +127,6 @@ from .semigroups import (
     encode_rows,
     isin_sorted,
     in_r_class,  # not called here; perfbench/tracer.py wraps this name
-    kernel_members,
 )
 from .transform import Permutation, Transformation
 
@@ -481,14 +487,42 @@ class _MapChecker:
             gs = gs[~cert.contains_products(gs[:, a64])]
             if gs.shape[0] == 0:
                 return verdict(STATUS_NORMALIZING, ("r-class",))
-        # the last tier was all of a^G
+        # the last tier was all of a^G, and its certificate decides the
+        # rest exactly (stage 3 of the module docstring)
         if gs is None:
             gs = within(sets)
         trace = ("r-class", "closure")
-        inside = kernel_members(conj_rows, a, gs[:, a64])
+        inside = self._closure_members(a, conj_rows, cert, gs[:, a64])
         if inside.all():
             return verdict(STATUS_NORMALIZING, trace)
         return verdict(STATUS_NOT, trace, gs[inside.argmin()], REASON_MEMBERSHIP)
+
+    def _closure_members(
+        self, a: Transformation, conj_rows: np.ndarray, cert, rows: np.ndarray
+    ) -> np.ndarray:
+        """Membership in <a^G> of each row, a map of a's kernel K and rank r.
+
+        conj_rows holds all of a^G and cert is its certificate anchored at
+        a.  A row x lies in <a^G> exactly when x^(h^-1) lies in R_a for
+        some h in G with ker(a^h) = K (module docstring, stage 3), so the
+        rows are tested against R_a, then against the R-class of each
+        kernel-K conjugate no class tested so far covers, through one h
+        found by a pass over G.  Returns one boolean per row.
+        """
+        # c has kernel K when it is constant on K's classes: equal to itself
+        # read through each point's least preimage under a
+        least = [a.images.index(y) for y in a.images]
+        kernel_k = conj_rows[(conj_rows[:, least] == conj_rows).all(axis=1)]
+        inside = cert.contains_products(rows)
+        uncovered = kernel_k[~cert.contains_products(kernel_k)]
+        while uncovered.shape[0] and not inside.all():
+            # k = h^-1 for an h with a^h = uncovered[0]: uncovered[0]^k = a,
+            # and R_(a^h) = (R_a)^h, so x lies in it when x^k lies in R_a
+            conjugates = encode_rows(_conjugate_rows(uncovered[0], self.M))
+            k = self.M[np.argmax(conjugates == a.encode())]
+            inside[~inside] = cert.contains_products(_conjugate_rows(rows[~inside], k))
+            uncovered = uncovered[~cert.contains_products(_conjugate_rows(uncovered, k))]
+        return inside
 
 
 def exists_section_mapper(group: PermutationGroup, a: Transformation) -> Permutation | None:

@@ -347,6 +347,17 @@ def test_groups_list_all_degrees(capsys):
     assert degrees == {4, 5, 6, 7, 8, 9, 12}
 
 
+def test_groups_list_degree_zero_is_refused(capsys):
+    # 0 is a degree like -1 and 10, not the absence of one
+    for degree in ("0", "-1", "10"):
+        code, out, err = run(capsys, "groups", "list", "--degree", degree)
+        assert code == 2 and out == "", degree
+        assert f"error: no catalog for degree {degree}" in err
+    code, payload, _ = run_json(capsys, "groups", "list", "--degree", "3")
+    assert code == 0
+    assert [r["label"] for r in payload["groups"]] == ["trivial", "A3", "S3"]
+
+
 def test_filters_command(capsys):
     code, payload, _ = run_json(capsys, "filters", "--degree", "5", "--group", "D10")
     assert code == 0

@@ -44,9 +44,9 @@ from normgroups.semigroups import (
     certificate_from_matrix,
     decode_encodings,
     encode_rows,
-    kernel_members,
 )
 from normgroups.transform import Permutation, Transformation
+from tuple_search import kernel_members
 
 
 def conjugate_set(group, a):
@@ -568,6 +568,84 @@ def test_second_check_of_an_image_set_sorts_no_array_of_g_rows(monkeypatch):
     assert sizes and max(sizes) < group.order()
 
 
+def _closure_inputs(checker, a):
+    """All of a^G as rows, its certificate, and a's distinct products."""
+    M = checker.M
+    conj_rows = decode_encodings(normalizing._conjugate_encodings(M, a), a.degree)
+    prods = np.unique(M[:, np.array(a.images)], axis=0)
+    return conj_rows, certificate_from_matrix(conj_rows, a), prods
+
+
+def _random_cycle_group(rng):
+    """A group on 3-8 points generated by 1-3 random cycles within one random
+    support, so intransitive groups are common."""
+    n = rng.randrange(3, 9)
+    support = rng.sample(range(n), rng.randrange(2, n + 1))
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        pts = rng.sample(support, rng.randrange(2, len(support) + 1))
+        images = list(range(n))
+        for x, y in zip(pts, pts[1:] + pts[:1]):
+            images[x] = y
+        gens.append(Permutation(images))
+    return PermutationGroup(gens, label="random")
+
+
+def test_closure_members_match_the_tuple_search():
+    # x of a's kernel K and rank r lies in <a^G> exactly when x^(h^-1) lies
+    # in R_a for some h in G with ker(a^h) = K: the certificate-based
+    # closure against the tuple search, on each map's whole product set and
+    # on single rows, for catalog groups of degree 3-9 with |G| <= 6000 and
+    # groups generated by random cycles, where the shortcut would often
+    # decide first; on intransitive and imprimitive groups some products
+    # are admitted only through an h other than the identity
+    rng = random.Random(4)
+    jobs = [(catalog(label, n), 3) for n in range(3, 10) for label in catalog_labels(n)
+            if catalog(label, n).order() <= 6000]
+    kinds = set()
+    while len(jobs) < 460:
+        group = _random_cycle_group(rng)
+        if group.order() <= 1000:
+            jobs.append((group, 6))
+            kinds.add((group.is_transitive(), group.is_primitive()))
+    assert {(False, False), (True, False), (True, True)} <= kinds
+    transported = maps = 0
+    for group, count in jobs:
+        checker = normalizing._MapChecker(group)
+        n = group.degree
+        # ranks up to 5 at degree 9 and 6 at degree 8 keep the tuple search short
+        top = min(n - 1, 14 - n)
+        for _ in range(count):
+            a = _random_map(rng, n, rng.randrange(2, top + 1))
+            conj_rows, cert, prods = _closure_inputs(checker, a)
+            want = kernel_members(conj_rows, a, prods)
+            got = checker._closure_members(a, conj_rows, cert, prods)
+            assert got.tolist() == want.tolist(), (group.label, group.generators, a.one_based())
+            for i in rng.sample(range(prods.shape[0]), min(3, prods.shape[0])):
+                one = checker._closure_members(a, conj_rows, cert, prods[i : i + 1])
+                assert one.tolist() == [want[i]], (group.label, a.one_based(), i)
+            transported += int((got & ~cert.contains_products(prods)).sum())
+            maps += 1
+    assert maps > 2000
+    assert transported >= 300
+
+
+def test_closure_admits_a_product_through_a_kernel_stabilizer():
+    # under <(1 3)>, a = 1,3,1 and its conjugate 3,1,3 share the kernel
+    # {1,3},{2} but not an R-class: every product of the two drops to rank
+    # 1.  So 3,1,3 = a*(1 3) fails a's certificate and is a member, through
+    # h = (1 3), which takes a onto it
+    group = PermutationGroup([Permutation([2, 1, 0])])
+    checker = normalizing._MapChecker(group)
+    a = Transformation.parse("1,3,1")
+    conj_rows, cert, _ = _closure_inputs(checker, a)
+    x = np.array([Transformation.parse("3,1,3").images], dtype=np.int8)
+    assert a.conjugated_by(Permutation([2, 1, 0])) == Transformation.parse("3,1,3")
+    assert not cert.contains_products(x)[0]
+    assert checker._closure_members(a, conj_rows, cert, x).tolist() == [True]
+    assert kernel_members(conj_rows, a, x).tolist() == [True]
+
+
 def test_degree_9_ladder_matches_kernel_members():
     # kernel_members over all of a^G is exact in both directions: on every
     # distinct product of seeded PSL(2,8) maps of ranks 2-4 it must give the
@@ -661,6 +739,23 @@ def test_degree_9_certificate_memory_stays_small(label, text):
         tracemalloc.stop()
     assert verdict.status == STATUS_NORMALIZING
     assert peak < 256 * 2**20
+
+
+def test_closure_memory_stays_small():
+    # the negative's 2,460 rejected products and 120 kernel-K conjugates
+    # are decided from the certificate of a^G; the tuple search peaks at
+    # about 12.5 MiB on them
+    a = Transformation.parse("5,2,6,5,7,8,3,5")
+    tracemalloc.start()
+    try:
+        verdict = is_a_normalizing(_sym7_on_8_points(), a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == STATUS_NOT and verdict.trace == ("r-class", "closure")
+    assert verdict.witness.g.cycle_string() == "(1 2 3 4 5 6 7)"
+    assert verdict.witness.reason == "membership-failed"
+    assert peak < 2 * 2**20
 
 
 def test_verdict_invariant_under_relabeling():

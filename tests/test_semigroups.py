@@ -19,10 +19,10 @@ from normgroups.semigroups import (
     decode_encodings,
     encode_rows,
     in_r_class,
-    kernel_members,
 )
 from normgroups.transform import Permutation, Transformation
 from semigroup_facts import idempotents, is_idempotent_generated, is_regular
+from tuple_search import kernel_members
 
 
 def r_class_certificate(gens, anchor):
