@@ -26,9 +26,8 @@ are needed as rows, the least g giving each is read from a per-group
 table keyed by the bitmask of I (PermutationGroup.distinct_restrictions),
 built by one pass over G the first time an image set is seen, so the
 least failing g stays the witness.  That happens only in the shortcut
-stage, for image sets a certificate with a proper induced group has to
-decide, and in the closure.  The products go through a fixed strategy
-order:
+stage and for image sets a certificate with a proper induced group has
+to decide.  The products go through a fixed strategy order:
 
 1. shortcut: if no h in G maps image(a) onto a section of ker(a), then
    any product of two or more conjugates of a drops rank, so the
@@ -56,25 +55,31 @@ order:
    the first tier with a proper induced group on, the products of the
    sets left are tested as rows.  Each tier re-tests only what the
    earlier ones rejected, so a^G is built in full only after every
-   element-pick tier has rejected something, for the shortcut, or for
-   the closure stage.  This is exact: if x is R-related to a in <T>,
-   with a in T and T within a^G, then x is R-related to a in <a^G>, so
-   the tiers together accept exactly what the full certificate accepts.
-3. closure: exact membership of the products the r-class stage left,
-   decided from the last tier's certificate, over all of a^G.  A product
-   x of a's kernel K and rank r lies in <a^G> exactly when x^(h^-1) lies
-   in R_a for some h in G with ker(a^h) = K.  Such an x is c*s with c in
-   a^G of kernel K.  The image-set digraph of a^G is G-invariant and G is
-   transitive on its vertices, so it is balanced: every set reachable
-   from image(c) reaches back, by some w, and with o the order of the
-   permutation s*w induces on image(c), x*w*(s*w)^(o-1) = c, so x R c.
-   Conjugation by h is an automorphism of <a^G>, so R_(a^h) = (R_a)^h.
-   The rows are tested against R_a, and then, only while some kernel-K
-   conjugate lies outside the R-classes covered so far, against the
-   R-class of the first such one, through an h found by one pass over G.
-   The stage keeps its trace label so reports stay as they were.
-   TransSemigroup and the tuple search over the injective r-tuples on a
-   transversal of K, which this stage replaced, are the tests' oracles.
+   element-pick tier has rejected something, or for the shortcut.  This
+   is exact: if x is R-related to a in <T>, with a in T and T within
+   a^G, then x is R-related to a in <a^G>, so the tiers together accept
+   exactly what the full certificate accepts.
+3. closure: the products the last tier rejected lie outside <a^G>, and
+   the least g left is the witness; the stage does no work of its own and
+   keeps its trace label, so reports stay as they were.  With maps acting
+   on the right, let S = <a^G>, I = image(a), K = ker(a), r = rank(a).  A
+   member x of S of kernel K and rank r is c*s, s in S^1, c = a^h of
+   kernel K.  The image-set digraph of a^G is G-invariant, G transitive on
+   its vertices, so it is balanced: some w takes image(x) back onto
+   image(c), and with o the order of the permutation s*w induces on
+   image(c), x*w*(s*w)^(o-1) = c, so x R c.  Past the shortcut every such
+   c lies in R_a, so x lies in S exactly when it lies in R_a.  There
+   T = {t in G : I*t is a section of K} is not empty; let beta_t =
+   (t*a)|_I and Q = <(beta_t, t) : t in T>, a group in Sym(I) x G.
+   (i) With y0 = 1 and ti = y(i-1)*yi^-1, a*a^y1*...*a^ym =
+   a*t1*a*t2*...*a*tm*ym keeps rank r exactly when every ti lies in T,
+   and is then a*beta_t1*...*beta_tm*(t1*...*tm)^-1: R_a, the rank-r
+   members of a*S^1, is {a*pi*y^-1 : (pi, y) in Q}.  (ii) For k in G_K,
+   the stabilizer of the partition K, k*a = a*delta_k, delta_k in Sym(I),
+   and t*k lies in T with beta_(t*k) = beta_t*delta_k, so (delta_k, k)
+   lies in Q.  (iii) ker(a^h) = K puts h in G_K, so a^h = a*delta_(h^-1)*h
+   lies in R_a by (i) and (ii).  TransSemigroup, the tuple search and the
+   criterion {1} x G <= Q are the tests' oracles.
 
 check_pair, which replays one witness, runs the same ladder on the single
 product a*g, so a replay accepted by the first tier also never passes
@@ -423,6 +428,8 @@ class _MapChecker:
     def check_pair(self, a: Transformation, g: Permutation) -> NormalizingVerdict:
         """Decide membership of the single product a*g in <a^G>."""
         _require_singular(self.group, a)
+        if g.degree != self.group.degree:
+            raise ValueError(f"degree mismatch: witness {g.degree}, group {self.group.degree}")
         if g not in self.group:
             raise ValueError(f"{g.cycle_string()} is not a member of {self.group.label}")
         g8 = np.array([g.images], dtype=np.int8)
@@ -475,8 +482,7 @@ class _MapChecker:
         # products rejected so far
         gs = None
         for encs in self._conjugate_tiers(a, orbit):
-            conj_rows = decode_encodings(encs, self.group.degree)
-            cert = certificate_from_matrix(conj_rows, a)
+            cert = certificate_from_matrix(decode_encodings(encs, self.group.degree), a)
             if gs is None and cert.induced_full:
                 sets = sets[~cert.is_node(sets)]
                 if sets.size == 0:
@@ -487,42 +493,11 @@ class _MapChecker:
             gs = gs[~cert.contains_products(gs[:, a64])]
             if gs.shape[0] == 0:
                 return verdict(STATUS_NORMALIZING, ("r-class",))
-        # the last tier was all of a^G, and its certificate decides the
-        # rest exactly (stage 3 of the module docstring)
+        # the last tier was all of a^G, whose certificate decides membership
+        # exactly past the shortcut (stage 3 of the module docstring)
         if gs is None:
             gs = within(sets)
-        trace = ("r-class", "closure")
-        inside = self._closure_members(a, conj_rows, cert, gs[:, a64])
-        if inside.all():
-            return verdict(STATUS_NORMALIZING, trace)
-        return verdict(STATUS_NOT, trace, gs[inside.argmin()], REASON_MEMBERSHIP)
-
-    def _closure_members(
-        self, a: Transformation, conj_rows: np.ndarray, cert, rows: np.ndarray
-    ) -> np.ndarray:
-        """Membership in <a^G> of each row, a map of a's kernel K and rank r.
-
-        conj_rows holds all of a^G and cert is its certificate anchored at
-        a.  A row x lies in <a^G> exactly when x^(h^-1) lies in R_a for
-        some h in G with ker(a^h) = K (module docstring, stage 3), so the
-        rows are tested against R_a, then against the R-class of each
-        kernel-K conjugate no class tested so far covers, through one h
-        found by a pass over G.  Returns one boolean per row.
-        """
-        # c has kernel K when it is constant on K's classes: equal to itself
-        # read through each point's least preimage under a
-        least = [a.images.index(y) for y in a.images]
-        kernel_k = conj_rows[(conj_rows[:, least] == conj_rows).all(axis=1)]
-        inside = cert.contains_products(rows)
-        uncovered = kernel_k[~cert.contains_products(kernel_k)]
-        while uncovered.shape[0] and not inside.all():
-            # k = h^-1 for an h with a^h = uncovered[0]: uncovered[0]^k = a,
-            # and R_(a^h) = (R_a)^h, so x lies in it when x^k lies in R_a
-            conjugates = encode_rows(_conjugate_rows(uncovered[0], self.M))
-            k = self.M[np.argmax(conjugates == a.encode())]
-            inside[~inside] = cert.contains_products(_conjugate_rows(rows[~inside], k))
-            uncovered = uncovered[~cert.contains_products(_conjugate_rows(uncovered, k))]
-        return inside
+        return verdict(STATUS_NOT, ("r-class", "closure"), gs[0], REASON_MEMBERSHIP)
 
 
 def exists_section_mapper(group: PermutationGroup, a: Transformation) -> Permutation | None:

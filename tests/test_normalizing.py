@@ -46,6 +46,7 @@ from normgroups.semigroups import (
     encode_rows,
 )
 from normgroups.transform import Permutation, Transformation
+from criterion import first_escape, group_of
 from tuple_search import kernel_members
 
 
@@ -413,7 +414,6 @@ def test_ladder_matches_the_unstaged_reference():
     for group in (catalog("A7", 7), catalog("S7", 7), catalog("A8", 8), _sym7_on_8_points()):
         checker = normalizing._MapChecker(group)
         n = group.degree
-        elements = group.elements()
         maps = list(fixed.get(group.label, []))
         while len(maps) < 6:
             pts = rng.sample(range(n), rng.randrange(2, n))
@@ -421,26 +421,36 @@ def test_ladder_matches_the_unstaged_reference():
             if not a.is_permutation():
                 maps.append(a)
         for a in maps:
-            shortcut, accepted, inside = _reference_ladder(checker, a)
-
-            def trace(ok):
-                return ("shortcut",) if shortcut else ("r-class",) if ok else ("r-class", "closure")
-
-            v = is_a_normalizing(group, a)
-            assert v.normalizing == inside.all(), (group.label, a.one_based())
-            assert v.trace == trace(accepted.all())
-            bad = np.flatnonzero(~inside)
-            if bad.size:
-                assert v.witness.g == elements[bad[0]]
-                assert v.witness.reason == ("conjugate-mismatch" if shortcut else "membership-failed")
-            else:
-                assert v.witness is None
-            traces.add(v.trace)
-            for i in rng.sample(range(len(elements)), 3) + bad[:1].tolist():
-                pair = check_pair(group, a, elements[i])
-                assert pair.normalizing == inside[i], (a.one_based(), i)
-                assert pair.trace == trace(accepted[i])
+            traces.add(_assert_ladder_matches_reference(checker, a, rng))
     assert traces == {("shortcut",), ("r-class",), ("r-class", "closure")}
+
+
+def _assert_ladder_matches_reference(checker, a, rng):
+    """Status, trace and witness of check(a), and of check_pair on 3 random
+    elements and on the least failing one, against _reference_ladder.
+    Returns the check's trace."""
+    group = checker.group
+    elements = group.elements()
+    shortcut, accepted, inside = _reference_ladder(checker, a)
+
+    def trace(ok):
+        return ("shortcut",) if shortcut else ("r-class",) if ok else ("r-class", "closure")
+
+    def witness(i):
+        reason = "conjugate-mismatch" if shortcut else "membership-failed"
+        return None if inside[i] else normalizing.FailureWitness(elements[i], reason)
+
+    where = (group.label, group.generators, a.one_based())
+    v = checker.check(a)
+    bad = np.flatnonzero(~inside)
+    assert v.normalizing == inside.all(), where
+    assert v.trace == trace(accepted.all()), where
+    assert v.witness == (witness(bad[0]) if bad.size else None), where
+    for i in [rng.randrange(len(elements)) for _ in range(3)] + bad[:1].tolist():
+        pair = checker.check_pair(a, elements[i])
+        assert (pair.normalizing, pair.trace, pair.witness) == (
+            inside[i], trace(accepted[i]), witness(i)), where + (i,)
+    return v.trace
 
 
 def test_first_tier_acceptance_never_builds_all_of_a_g(monkeypatch):
@@ -568,14 +578,6 @@ def test_second_check_of_an_image_set_sorts_no_array_of_g_rows(monkeypatch):
     assert sizes and max(sizes) < group.order()
 
 
-def _closure_inputs(checker, a):
-    """All of a^G as rows, its certificate, and a's distinct products."""
-    M = checker.M
-    conj_rows = decode_encodings(normalizing._conjugate_encodings(M, a), a.degree)
-    prods = np.unique(M[:, np.array(a.images)], axis=0)
-    return conj_rows, certificate_from_matrix(conj_rows, a), prods
-
-
 def _random_cycle_group(rng):
     """A group on 3-8 points generated by 1-3 random cycles within one random
     support, so intransitive groups are common."""
@@ -591,59 +593,136 @@ def _random_cycle_group(rng):
     return PermutationGroup(gens, label="random")
 
 
-def test_closure_members_match_the_tuple_search():
-    # x of a's kernel K and rank r lies in <a^G> exactly when x^(h^-1) lies
-    # in R_a for some h in G with ker(a^h) = K: the certificate-based
-    # closure against the tuple search, on each map's whole product set and
-    # on single rows, for catalog groups of degree 3-9 with |G| <= 6000 and
-    # groups generated by random cycles, where the shortcut would often
-    # decide first; on intransitive and imprimitive groups some products
-    # are admitted only through an h other than the identity
+def _seeded_jobs():
+    """Seeded (group, maps) pairs: catalog groups of degree 3-9 with |G| <=
+    6000, 3 maps each, and groups of order <= 1000 generated by random
+    cycles, 6 maps each, intransitive, imprimitive and primitive ones among
+    them.  Ranks stop at 5 at degree 9 and at 6 at degree 8, which keeps
+    the tuple search short."""
     rng = random.Random(4)
-    jobs = [(catalog(label, n), 3) for n in range(3, 10) for label in catalog_labels(n)
-            if catalog(label, n).order() <= 6000]
+    groups = [(catalog(label, n), 3) for n in range(3, 10) for label in catalog_labels(n)
+              if catalog(label, n).order() <= 6000]
     kinds = set()
-    while len(jobs) < 460:
+    while len(groups) < 460:
         group = _random_cycle_group(rng)
         if group.order() <= 1000:
-            jobs.append((group, 6))
+            groups.append((group, 6))
             kinds.add((group.is_transitive(), group.is_primitive()))
     assert {(False, False), (True, False), (True, True)} <= kinds
-    transported = maps = 0
-    for group, count in jobs:
-        checker = normalizing._MapChecker(group)
+    jobs = []
+    for group, count in groups:
         n = group.degree
-        # ranks up to 5 at degree 9 and 6 at degree 8 keep the tuple search short
         top = min(n - 1, 14 - n)
-        for _ in range(count):
-            a = _random_map(rng, n, rng.randrange(2, top + 1))
-            conj_rows, cert, prods = _closure_inputs(checker, a)
-            want = kernel_members(conj_rows, a, prods)
-            got = checker._closure_members(a, conj_rows, cert, prods)
-            assert got.tolist() == want.tolist(), (group.label, group.generators, a.one_based())
-            for i in rng.sample(range(prods.shape[0]), min(3, prods.shape[0])):
-                one = checker._closure_members(a, conj_rows, cert, prods[i : i + 1])
-                assert one.tolist() == [want[i]], (group.label, a.one_based(), i)
-            transported += int((got & ~cert.contains_products(prods)).sum())
-            maps += 1
-    assert maps > 2000
-    assert transported >= 300
+        jobs.append((group, [_random_map(rng, n, rng.randrange(2, top + 1)) for _ in range(count)]))
+    return jobs
 
 
-def test_closure_admits_a_product_through_a_kernel_stabilizer():
-    # under <(1 3)>, a = 1,3,1 and its conjugate 3,1,3 share the kernel
-    # {1,3},{2} but not an R-class: every product of the two drops to rank
-    # 1.  So 3,1,3 = a*(1 3) fails a's certificate and is a member, through
-    # h = (1 3), which takes a onto it
-    group = PermutationGroup([Permutation([2, 1, 0])])
-    checker = normalizing._MapChecker(group)
+def test_ladder_matches_the_tuple_search_on_seeded_maps():
+    # status, trace and witness of each check, and of 3 or 4 replays per
+    # map, against the shortcut or the certificate over all of a^G plus
+    # the tuple search, on every seeded map; hundreds of them end in the
+    # closure stage, which decides from the full certificate alone
+    rng = random.Random(5)
+    traces = []
+    for group, maps in _seeded_jobs():
+        checker = normalizing._MapChecker(group)
+        for a in maps:
+            traces.append(_assert_ladder_matches_reference(checker, a, rng))
+    assert len(traces) > 2000
+    assert traces.count(("r-class", "closure")) >= 300
+
+
+def _kernel_conjugates(conj_rows, a):
+    """The rows of conj_rows with a's kernel: those constant on its classes,
+    equal to themselves read through each point's least preimage under a."""
+    least = [a.images.index(y) for y in a.images]
+    return conj_rows[(conj_rows[:, least] == conj_rows).all(axis=1)]
+
+
+def test_section_mapper_puts_every_kernel_conjugate_in_r_a():
+    # stage 3's claim: when some t in G maps image(a) onto a section of
+    # K = ker(a), every conjugate of kernel K lies in R_a, so the certificate
+    # over all of a^G decides membership.  Without such a t some maps have
+    # a kernel-K conjugate outside R_a, so the claim is not vacuous
+    mapped = outside = 0
+    for group, maps in _seeded_jobs():
+        M = group.element_matrix()
+        for a in maps:
+            conj_rows = decode_encodings(normalizing._conjugate_encodings(M, a), a.degree)
+            inside = certificate_from_matrix(conj_rows, a).contains_products(
+                _kernel_conjugates(conj_rows, a))
+            if _section_mapper_rows(group, a).any():
+                assert inside.all(), (group.label, group.generators, a.one_based())
+                mapped += 1
+            else:
+                outside += not inside.all()
+    assert mapped >= 1500
+    assert outside >= 200
+
+
+def test_kernel_stabilizer_conjugate_is_decided_by_the_shortcut():
+    # under <(1 3)>, a = 1,3,1 and its conjugate 3,1,3 = a*(1 3) share the
+    # kernel {1,3},{2} but not an R-class: every product of the two drops
+    # to rank 1.  No element maps image(a) onto a section of the kernel,
+    # so the shortcut decides, and 3,1,3 is a member as a conjugate
+    t = Permutation([2, 1, 0])
+    group = PermutationGroup([t])
     a = Transformation.parse("1,3,1")
-    conj_rows, cert, _ = _closure_inputs(checker, a)
-    x = np.array([Transformation.parse("3,1,3").images], dtype=np.int8)
-    assert a.conjugated_by(Permutation([2, 1, 0])) == Transformation.parse("3,1,3")
-    assert not cert.contains_products(x)[0]
-    assert checker._closure_members(a, conj_rows, cert, x).tolist() == [True]
-    assert kernel_members(conj_rows, a, x).tolist() == [True]
+    x = Transformation.parse("3,1,3")
+    assert a * t == x == a.conjugated_by(t)
+    conj_rows = decode_encodings(normalizing._conjugate_encodings(group.element_matrix(), a), 3)
+    assert sorted(map(tuple, _kernel_conjugates(conj_rows, a).tolist())) == [(0, 2, 0), (2, 0, 2)]
+    x8 = np.array([x.images], dtype=np.int8)
+    assert not certificate_from_matrix(conj_rows, a).contains_products(x8)[0]
+    assert exists_section_mapper(group, a) is None
+    pair = check_pair(group, a, t)
+    assert (pair.status, pair.trace, pair.witness) == (STATUS_NORMALIZING, ("shortcut",), None)
+    assert kernel_members(conj_rows, a, x8).tolist() == [True]
+
+
+def _subgroups_of_symmetric(n):
+    """Every subgroup of S_n generated by two elements, once each, as a
+    generator pair of image tuples.  <x, y> depends only on <x> and <y>,
+    so one generator per cyclic subgroup is paired."""
+    identity = tuple(range(n))
+    cyclic = {}
+    for p in permutations(range(n)):
+        cyclic.setdefault(frozenset(group_of([p], identity)), p)
+    gens = list(cyclic.values())
+    found = {}
+    for i, x in enumerate(gens):
+        for y in gens[i:]:
+            found.setdefault(frozenset(group_of([x, y], identity)), (x, y))
+    return list(found.values())
+
+
+def test_is_a_normalizing_matches_the_criterion():
+    # status and witness of is_a_normalizing against the criterion of
+    # tests/criterion.py, with a section mapper and without one: every
+    # orbit representative of every subgroup of S4, and seeded maps of a
+    # seeded sample of S5's subgroups
+    rng = random.Random(10)
+    subgroups = {n: _subgroups_of_symmetric(n) for n in (4, 5)}
+    assert [len(subgroups[4]), len(subgroups[5])] == [30, 156]
+    cases = []
+    for gens in subgroups[4]:
+        group = PermutationGroup([Permutation(g) for g in gens], degree=4)
+        cases += [(group, rep) for rep, _ in ConjugacySweep(group)]
+    for gens in rng.sample(subgroups[5], 40):
+        group = PermutationGroup([Permutation(g) for g in gens], degree=5)
+        maps = [Transformation([rng.randrange(5) for _ in range(5)]) for _ in range(30)]
+        cases += [(group, a) for a in maps if not a.is_permutation()]
+    outcomes = set()
+    for group, a in cases:
+        elements = group.elements()
+        want = first_escape([g.images for g in elements], a.images)
+        v = is_a_normalizing(group, a)
+        where = (group.generators, a.one_based())
+        assert v.normalizing == (want is None), where
+        assert (v.witness and v.witness.g) == (None if want is None else elements[want]), where
+        outcomes.add((exists_section_mapper(group, a) is not None, v.normalizing))
+    assert len(cases) > 1500
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_degree_9_ladder_matches_kernel_members():
@@ -953,6 +1032,15 @@ def test_check_pair_rejects_foreign_permutation():
     group = catalog("C5", 5)
     with pytest.raises(ValueError):
         check_pair(group, Transformation.parse("1,1,3,4,1"), Permutation.parse("(1 2)", 5))
+
+
+def test_check_pair_refuses_a_witness_of_another_degree():
+    # "(1 2)" parses on 2 points; the refusal names the degree, not membership
+    a = Transformation.parse("1,1,2,3,4")
+    with pytest.raises(ValueError, match=r"^degree mismatch: witness 2, group 5$"):
+        check_pair(catalog("S5", 5), a, Permutation.parse("(1 2)"))
+    with pytest.raises(ValueError, match=r"^degree mismatch: witness 6, group 5$"):
+        check_pair(catalog("S5", 5), a, Permutation.parse("(1 2)", 6))
 
 
 # -- conjugation-orbit enumeration -----------------------------------------
