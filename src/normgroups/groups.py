@@ -5,11 +5,14 @@ first use as one int8 matrix: one row per element, one column per point.
 The rows come from a breadth-first closure (identity first, generators
 applied in listed order), run level by level, so one numpy gather applies
 every generator to a whole level at once; that order anchors every
-"first witness" the rest of the package reports.  elements() reads the
+"first witness" the rest of the package reports.  Small levels drop the
+rows already seen through a set of row bytes, large ones (up to degree
+15) through one sorted int64 array of the rows' encode_rows keys, which
+the walk then leaves behind as element_keys().  elements() reads the
 same rows as Permutation objects, one at a time, and only when asked.
 
 The element matrix is the workhorse for the vectorized callers in the
-normalizing machinery, and its sorted rows answer membership by binary
+normalizing machinery, and its sorted keys answer membership by binary
 search.  Orbits here are point orbits and orbits on point sets, the
 latter labeled once per group by subset_orbits, with one element per
 point set taking its orbit's least set onto it in subset_transversal;
@@ -28,7 +31,7 @@ from typing import Iterable, Iterator, SupportsIndex
 
 import numpy as np
 
-from .semigroups import encode_rows, isin_sorted
+from .semigroups import _MAX_VECTOR_DEGREE, encode_rows, isin_sorted
 from .transform import ParseError, Permutation, Transformation
 
 
@@ -64,7 +67,7 @@ class PermutationGroup:
         self.label = label if label is not None else _default_label(gens)
         self._matrix: np.ndarray | None = None
         self._inverse_matrix: np.ndarray | None = None
-        self._sorted_rows: np.ndarray | None = None
+        self._keys: np.ndarray | None = None
         self._subset_orbits: np.ndarray | None = None
         self._subset_transversal: np.ndarray | None = None
         self._restrictions: dict[int, np.ndarray | None] = {}
@@ -85,8 +88,20 @@ class PermutationGroup:
     def element_matrix(self) -> np.ndarray:
         """(order, degree) int8 matrix of images, rows in discovery order."""
         if self._matrix is None:
-            self._matrix = _breadth_first_rows(self.generators, self.degree)
+            self._matrix, self._keys = _breadth_first_rows(self.generators, self.degree)
         return self._matrix
+
+    def element_keys(self) -> np.ndarray:
+        """The elements' _row_keys, ascending: int64 encode_rows codes up
+        to degree 15, row bytes above.
+
+        A walk that dropped seen rows by key leaves them behind; otherwise
+        they are built on first use.
+        """
+        m = self.element_matrix()
+        if self._keys is None:
+            self._keys = np.sort(_row_keys(m))
+        return self._keys
 
     def inverse_matrix(self) -> np.ndarray:
         """Row i is the inverse of element_matrix row i; only perfbench's set-up builds it."""
@@ -99,13 +114,11 @@ class PermutationGroup:
         return self._inverse_matrix
 
     def __contains__(self, p: Transformation) -> bool:
-        """Membership by one binary search over the sorted element rows."""
+        """Membership by one binary search over the sorted element keys."""
         if not isinstance(p, Permutation) or p.degree != self.degree:
             return False
-        if self._sorted_rows is None:
-            self._sorted_rows = np.sort(_row_keys(self.element_matrix()))
         key = _row_keys(np.array([p.images], dtype=np.int8))
-        return bool(isin_sorted(key, self._sorted_rows)[0])
+        return bool(isin_sorted(key, self.element_keys())[0])
 
     def __len__(self) -> int:
         return self.order()
@@ -211,10 +224,7 @@ class PermutationGroup:
         stabilizer of I.  None when G_(I) is trivial, where every element
         is its own first.  Built per mask on first use, by one pass over
         the elements with a base-degree key of their images on I and one
-        unstable sort of the keys.  Equal keys form one run of the sorted
-        order, found by an adjacent-difference flag; the sort scrambles
-        the indices within a run, but the run's least index is its first
-        element, which is what a stable sort would have put at its head.
+        unstable sort of the keys (_first_of_each).
         """
         if mask not in self._restrictions:
             n = self.degree
@@ -224,11 +234,7 @@ class PermutationGroup:
             if np.count_nonzero(keys == keys[0]) == 1:
                 self._restrictions[mask] = None
             else:
-                order = np.argsort(keys)
-                sorted_keys = keys[order]
-                starts = np.ones(sorted_keys.shape[0], dtype=bool)
-                np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
-                firsts = np.minimum.reduceat(order, np.flatnonzero(starts))
+                firsts = _first_of_each(keys)[1]
                 self._restrictions[mask] = np.sort(firsts).astype(np.int32)
         return self._restrictions[mask]
 
@@ -355,17 +361,25 @@ class ElementSequence(Sequence[Permutation]):
 
 
 _MAX_ROW_DEGREE = 127  # element rows are int8
+# successors per level up to which a set of row bytes dedupes faster than
+# sorted keys, whose dozen numpy calls per level cost more on small levels
+_SET_LEVEL = 1 << 14
 
 
-def _breadth_first_rows(generators: tuple[Permutation, ...], n: int) -> np.ndarray:
+def _breadth_first_rows(
+    generators: tuple[Permutation, ...], n: int
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Every element of <generators> as an int8 row, in breadth-first order.
 
     This is the order of a FIFO walk from the identity that appends each
     row's unseen successors in generator order: the walk takes all of
     level L before level L+1, so level L+1 is the first occurrences, in
     (row, generator) order, of the successors of level L not seen before.
-    One gather builds those successors for the whole level, and a set of
-    row bytes drops the ones already seen.
+    One gather builds those successors for the whole level.  A set of row
+    bytes drops the ones already seen until a level has more than
+    _SET_LEVEL successors; from then on, up to degree _MAX_VECTOR_DEGREE,
+    one sorted int64 array of every row's _row_keys does (_next_level).
+    Returns the rows and that array, or None if the walk never needed it.
     """
     if n > _MAX_ROW_DEGREE:
         raise ValueError(f"degree {n}: int8 element rows stop at degree {_MAX_ROW_DEGREE}")
@@ -375,20 +389,73 @@ def _breadth_first_rows(generators: tuple[Permutation, ...], n: int) -> np.ndarr
     seen = {frontier.tobytes()}
     mark = seen.add
     levels = [frontier]
+    keys = None
     while frontier.shape[0]:
-        # successor r * len(gens) + j is frontier row r followed by generator j
-        step = np.ascontiguousarray(gens[:, frontier].swapaxes(0, 1)).reshape(-1, n)
-        # mark(key) returns None, so each unseen key passes once, in order
-        keys = step.view(row).ravel().tolist()
-        fresh = [key for key in keys if key not in seen and not mark(key)]
-        frontier = np.frombuffer(b"".join(fresh), dtype=np.int8).reshape(-1, n)
+        if keys is None and (
+            frontier.shape[0] * gens.shape[0] <= _SET_LEVEL or n > _MAX_VECTOR_DEGREE
+        ):
+            # successor r * len(gens) + j is frontier row r followed by generator j
+            step = np.ascontiguousarray(gens[:, frontier].swapaxes(0, 1)).reshape(-1, n)
+            # mark(key) returns None, so each unseen key passes once, in order
+            fresh = [key for key in step.view(row).ravel().tolist()
+                     if key not in seen and not mark(key)]
+            frontier = np.frombuffer(b"".join(fresh), dtype=np.int8).reshape(-1, n)
+        else:
+            if keys is None:
+                keys = np.sort(_row_keys(np.concatenate(levels)))
+            frontier, keys = _next_level(gens, frontier, keys)
         levels.append(frontier)
-    return np.concatenate(levels)
+    return np.concatenate(levels), keys
+
+
+def _next_level(
+    gens: np.ndarray, frontier: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The walk's next level after frontier, and keys with its keys merged in.
+
+    keys holds the sorted keys of every row seen so far.  The successors
+    are built one generator at a time into (row, generator) order and
+    keyed; _first_of_each gives each distinct key with its first position,
+    one binary search in keys drops the keys seen, and the positions of
+    the rest, ascending, are the new level.
+    """
+    (k, n), m = gens.shape, frontier.shape[0]
+    step = np.empty((m, k, n), dtype=np.int8)
+    for j in range(k):
+        np.take(gens[j], frontier, out=step[:, j])
+    step = step.reshape(-1, n)
+    distinct, first = _first_of_each(_row_keys(step))
+    at = np.searchsorted(keys, distinct)
+    fresh = keys[np.minimum(at, keys.shape[0] - 1)] != distinct
+    return step[np.sort(first[fresh])], np.insert(keys, at[fresh], distinct[fresh])
+
+
+def _first_of_each(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the least index at which each occurs.
+
+    One unstable sort: equal keys form one run of the sorted order, found
+    by an adjacent-difference flag; the sort scrambles the indices within
+    a run, but the run's least index is its first occurrence, which is
+    what a stable sort would have put at its head.
+    """
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    starts = np.ones(sorted_keys.shape[0], dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    return sorted_keys[starts], np.minimum.reduceat(order, starts)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each int8 row as one opaque key; sorts lexicographically at any degree."""
-    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel()
+    """Each int8 row as one key that sorts lexicographically.
+
+    Up to degree _MAX_VECTOR_DEGREE the key is the row's int64 encode_rows
+    code; above it, where that code overflows, the opaque row bytes.
+    """
+    n = rows.shape[1]
+    if n <= _MAX_VECTOR_DEGREE:
+        return encode_rows(rows)
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, n))).ravel()
 
 
 def _default_label(gens: tuple[Permutation, ...]) -> str:

@@ -121,7 +121,7 @@ import numpy as np
 
 from .bitset import Bitmap
 from .catalog import catalog, catalog_hash, catalog_labels
-from .groups import PermutationGroup
+from .groups import PermutationGroup, _first_of_each
 from .semigroups import (
     _MAX_VECTOR_DEGREE,
     TransSemigroup,  # not called here; perfbench/tracer.py wraps this name
@@ -325,6 +325,13 @@ def _conjugate_encodings(perms: np.ndarray, a: Transformation) -> np.ndarray:
     return encs[keep]
 
 
+def _sorted_distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct map rows and their encodings, in ascending encoding order:
+    decode_encodings of _conjugate_encodings, without the decoding."""
+    encs, first = _first_of_each(encode_rows(rows))
+    return rows[first], encs
+
+
 def _require_vector_degree(n: int) -> None:
     if n > _MAX_VECTOR_DEGREE:
         raise ValueError(
@@ -354,8 +361,14 @@ class _MapChecker:
         """Sorted distinct encodings of all of a^G: one pass over G."""
         return _conjugate_encodings(self.M, a)
 
-    def _conjugate_tiers(self, a: Transformation, orbit: np.ndarray) -> Iterator[np.ndarray]:
-        """Sorted encodings of the growing subsets T of a^G the r-class stage tries.
+    def _conjugate_tiers(
+        self, a: Transformation, orbit: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The growing subsets T of a^G the r-class stage tries, as rows.
+
+        Each tier is its distinct int8 rows with their encodings, both in
+        ascending encoding order (_sorted_distinct), so the certificate
+        reads the rows without decoding them.
 
         Tier s is a conjugated by the s elements at indices i * |G| // s,
         for s = _TIER_FIRST, 2 * _TIER_FIRST, ... while _TIER_CUTOFF * s <=
@@ -376,24 +389,25 @@ class _MapChecker:
         4 * s <= |a^G| would have stopped at 512.  The last tier is all of
         a^G, built only once every earlier tier has rejected a product.
         """
+        a8 = np.array(a.images, dtype=np.int8)
         order = self.M.shape[0]
         size = _TIER_FIRST
         movers = None
         while _TIER_CUTOFF * size <= order:
             picks = self.M[np.arange(size) * order // size]
-            tier = _conjugate_encodings(picks, a)
+            rows, encs = _sorted_distinct(_conjugate_rows(a8, picks))
             if movers is None:
                 movers = self._transported(a, picks, orbit)
-            elif 8 * tier.shape[0] < 7 * size:
+            elif 8 * encs.shape[0] < 7 * size:
                 break
-            yield np.union1d(tier, movers) if movers.size else tier
+            yield _sorted_distinct(np.concatenate([rows, movers])) if movers.size else (rows, encs)
             size *= 2
-        yield self._conjugates(a)
+        yield _sorted_distinct(_conjugate_rows(a8, self.M))
 
     def _transported(
         self, a: Transformation, picks: np.ndarray, orbit: np.ndarray
     ) -> np.ndarray:
-        """Sorted encodings of a conjugated onto each image set no pick reaches.
+        """Rows of a conjugated onto each image set no pick reaches.
 
         One conjugate per set of image(a)'s orbit that no a^p, p in picks,
         has as its image set p(image(a)).  Row m of subset_transversal()
@@ -404,10 +418,10 @@ class _MapChecker:
         reached[_mask(picks[:, list(a.image())])] = True
         missed = orbit[~reached[orbit]]
         if not missed.size:
-            return missed
+            return picks[:0]
         rows = self.group.subset_transversal()
         back = np.argsort(rows[_image_mask(a)])
-        return _conjugate_encodings(rows[missed][:, back], a)
+        return _conjugate_rows(np.array(a.images, dtype=np.int8), rows[missed][:, back])
 
     def check(self, a: Transformation) -> NormalizingVerdict:
         """Decide whether every a*g lies in <a^G>."""
@@ -481,8 +495,8 @@ class _MapChecker:
         # from the first proper induced group on it is the g of the
         # products rejected so far
         gs = None
-        for encs in self._conjugate_tiers(a, orbit):
-            cert = certificate_from_matrix(decode_encodings(encs, self.group.degree), a)
+        for rows, _ in self._conjugate_tiers(a, orbit):
+            cert = certificate_from_matrix(rows, a)
             if gs is None and cert.induced_full:
                 sets = sets[~cert.is_node(sets)]
                 if sets.size == 0:
@@ -633,7 +647,7 @@ def _normalizer_cosets(group: PermutationGroup) -> np.ndarray:
     rows = _permutation_rows(n)
     if M.shape[0] == rows.shape[0]:
         return rows[:1]
-    members = np.sort(encode_rows(M))
+    members = group.element_keys()
     for g in group.generators:
         conj = _conjugate_rows(np.array(g.images, dtype=np.int8), rows)
         rows = rows[isin_sorted(encode_rows(conj), members)]
@@ -897,11 +911,8 @@ def sweep_cache_path(cache_dir: str, group: PermutationGroup, rank: int | None =
 _WORKER_CHECKER: _MapChecker | None = None
 
 
-def _worker_init(gen_images: tuple, degree: int, label: str) -> None:
+def _worker_init(group: PermutationGroup) -> None:
     global _WORKER_CHECKER
-    group = PermutationGroup(
-        (Permutation(images) for images in gen_images), degree=degree, label=label
-    )
     _WORKER_CHECKER = _MapChecker(group)
 
 
@@ -1002,11 +1013,10 @@ def _sweep_check(
         check = functools.partial(_check_batch, _MapChecker(group))
         depth = 1
     else:
-        gen_images = tuple(g.images for g in group.generators)
+        # the caller's group too, its element rows built above, so no
+        # worker walks the group again
         pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(gen_images, group.degree, group.label),
+            max_workers=workers, initializer=_worker_init, initargs=(group,)
         )
         check = _worker_check
         depth = 2 * workers

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from normgroups import groups
 from normgroups.catalog import _build, catalog, catalog_labels
 from normgroups.groups import PermutationGroup, group_from_generator_text
 from normgroups.transform import ParseError, Permutation, Transformation
@@ -112,6 +113,22 @@ def test_element_matrix_matches_the_queue_walk_on_random_generators():
         assert g.order() == len(want)
 
 
+def test_key_walk_matches_the_queue_walk_at_every_level(monkeypatch):
+    # with no level small enough for the set, every level up to degree 15
+    # is deduped by sorted keys; the rows stay the queue walk's, and the
+    # keys left behind are the sorted codes of every row
+    monkeypatch.setattr(groups, "_SET_LEVEL", 0)
+    built = [PermutationGroup(gens) for gens in random_generator_lists(29)]
+    built += [PermutationGroup(catalog(label, n).generators, degree=n)
+              for label, n in (("M12", 12), ("AGL(1,8)", 8), ("C17", 17))]
+    for g in built:
+        rows = g.element_matrix()
+        assert rows.tolist() == [list(r) for r in queue_bfs_rows(g)], g.label
+        if g.order() > 1 and g.degree <= 15:
+            assert g._keys is not None, g.label
+        assert np.array_equal(g.element_keys(), np.sort(groups._row_keys(rows))), g.label
+
+
 def test_elements_view_reads_the_matrix():
     g = catalog("AGL(1,7)", 7)
     m = g.element_matrix()
@@ -143,10 +160,10 @@ def test_element_matrix_builds_no_permutations(monkeypatch):
     assert len(built) == len(group.generators) == 2
 
 
-def test_element_matrix_memory_a9():
-    # the int8 rows of A9 are 1.6 MiB; the build keeps no Python object
-    # per element
-    gens = catalog("A9", 9).generators
+def _element_matrix_memory(label):
+    # (order, tracemalloc peak, bytes held after) of building the rows of
+    # a fresh copy of a degree-9 catalog group
+    gens = catalog(label, 9).generators
     tracemalloc.start()
     try:
         group = PermutationGroup(gens, degree=9)
@@ -154,9 +171,25 @@ def test_element_matrix_memory_a9():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert group.order() == 181440
-    assert peak < 32 * 2**20
-    assert held < 4 * 2**20
+    return group.order(), peak, held
+
+
+def test_element_matrix_memory_a9():
+    # the int8 rows of A9 are 1.6 MiB and their sorted int64 keys 1.4 MiB;
+    # the walk dedupes its large levels by those keys, so the build keeps
+    # no Python object per element
+    order, peak, held = _element_matrix_memory("A9")
+    assert order == 181440
+    assert peak < 16 * 2**20, peak
+    assert held < 4 * 2**20, held
+
+
+def test_element_matrix_memory_s9():
+    # 3.1 MiB of rows and 2.8 MiB of keys; a set of row bytes peaked at 42 MiB
+    order, peak, held = _element_matrix_memory("S9")
+    assert order == 362880
+    assert peak < 24 * 2**20, peak
+    assert held < 8 * 2**20, held
 
 
 def test_elements_refuse_degrees_past_int8():
@@ -209,6 +242,36 @@ def test_membership_agrees_with_elements():
     assert Transformation.parse("1,2,3,4") not in a4  # identity images, not a Permutation
     assert Transformation.parse("1,1,2,3") not in a4
     assert "(1 2 3)" not in a4
+
+
+@pytest.mark.parametrize("label, n", [("A9", 9), ("AGL(1,7)", 7), ("C17", 17), ("D(2*20)", 20)])
+def test_membership_reads_the_element_keys(label, n):
+    # A9's walk leaves its sorted int64 keys behind; AGL(1,7)'s small
+    # levels leave none, so the keys are built on the first lookup; above
+    # degree 15 the keys are row bytes
+    group = PermutationGroup(catalog(label, n).generators, degree=n)
+    rows = group.element_matrix()
+    assert (group._keys is not None) == (label == "A9")
+    keys = group.element_keys()
+    assert keys.dtype == (np.int64 if n <= 15 else np.dtype((np.void, n)))
+    assert keys.shape[0] == group.order() and np.array_equal(keys, np.unique(keys))
+    rng = random.Random(n)
+    picks = rng.sample(range(rows.shape[0]), min(20, rows.shape[0]))
+    members = [Permutation(rows[i].tolist()) for i in picks + [0, -1]]
+    if label == "A9":
+        # every odd permutation lies outside A9
+        outside = [Permutation.parse("(1 2)", 9), Permutation.parse("(1 2 3 4)(5 6 7)", 9)]
+        outside += [p * Permutation.parse("(8 9)", 9) for p in members]
+    else:
+        listed = set(map(tuple, rows.tolist()))
+        outside = []
+        while len(outside) < 20:
+            images = list(range(n))
+            rng.shuffle(images)
+            if tuple(images) not in listed:
+                outside.append(Permutation(images))
+    assert all(p in group for p in members)
+    assert not any(p in group for p in outside)
 
 
 def test_conjugated_copy_same_order():

@@ -203,7 +203,12 @@ def test_conjugate_tiers_accept_only_what_the_full_certificate_accepts():
             orbit = set(np.flatnonzero(label == label[sum(1 << p for p in image)]).tolist())
             conj_encs = checker._conjugates(a)
             full = _certified(checker, a, conj_encs)
-            tiers = list(checker._conjugate_tiers(a, normalizing._orbit_masks(group, a)))
+            tier_rows = list(checker._conjugate_tiers(a, normalizing._orbit_masks(group, a)))
+            # each tier's rows are its encodings decoded, so the
+            # certificate reads the same rows it did from the encodings
+            for rows, tier in tier_rows:
+                assert np.array_equal(rows, decode_encodings(tier, n))
+            tiers = [tier for _, tier in tier_rows]
             # every tier lies in a^G and holds a once; each lies in the
             # next, and the last is all of a^G; every set of image(a)'s
             # orbit is the image set of some member of every tier
@@ -723,6 +728,38 @@ def test_is_a_normalizing_matches_the_criterion():
         outcomes.add((exists_section_mapper(group, a) is not None, v.normalizing))
     assert len(cases) > 1500
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.slow
+def test_is_a_normalizing_matches_the_criterion_on_degrees_6_to_8():
+    # the same comparison on catalog groups of degrees 6-8, where Q grows
+    # to |PSL(2,7)| * 6! = 120,960 pairs: seeded maps of ranks 2 to n - 2,
+    # one rank-7 map under AGL(1,8), and every KNOWN_FAILING_MAPS entry of
+    # these groups
+    rng = random.Random(61)
+    statuses = set()
+    for label, n in (("PSL(2,5)", 6), ("PGL(2,5)", 6), ("AGL(1,7)", 7),
+                     ("AGL(1,8)", 8), ("PSL(2,7)", 8)):
+        group = catalog(label, n)
+        elements = group.elements()
+        ranks = [rank for rank in range(2, n - 1) for _ in range(4)]
+        ranks += [7] if label == "AGL(1,8)" else []
+        maps = []
+        for rank in ranks:
+            pts = rng.sample(range(n), rank)
+            images = pts + [rng.choice(pts) for _ in range(n - rank)]
+            rng.shuffle(images)
+            maps.append(Transformation(images))
+        if (n, label) in KNOWN_FAILING_MAPS:
+            maps.append(Transformation.from_one_based(KNOWN_FAILING_MAPS[n, label]))
+        for a in maps:
+            want = first_escape([g.images for g in elements], a.images)
+            v = is_a_normalizing(group, a)
+            where = (label, a.one_based())
+            assert v.normalizing == (want is None), where
+            assert (v.witness and v.witness.g) == (None if want is None else elements[want]), where
+            statuses.add(v.status)
+    assert statuses == {STATUS_NORMALIZING, STATUS_NOT}
 
 
 def test_degree_9_ladder_matches_kernel_members():
