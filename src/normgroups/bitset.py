@@ -49,8 +49,17 @@ class Bitmap:
 
     def set_batch(self, idx: np.ndarray) -> None:
         idx = np.asarray(idx, dtype=np.int64)
-        # bitwise_or.at handles duplicate byte indices, plain |= would drop them
-        np.bitwise_or.at(self.data, idx >> 3, np.uint8(1) << (idx & 7).astype(np.uint8))
+        byte, bit = idx >> 3, np.uint8(1) << (idx & 7).astype(np.uint8)
+        if not (idx[1:] > idx[:-1]).all():
+            # bitwise_or.at handles duplicate byte indices, plain |= would drop them
+            np.bitwise_or.at(self.data, byte, bit)
+        elif idx.size:
+            # strictly ascending: each byte index is one run, ORed in once
+            first = np.empty(idx.shape[0], dtype=bool)
+            first[0] = True
+            np.not_equal(byte[1:], byte[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            self.data[byte[starts]] |= np.bitwise_or.reduceat(bit, starts)
 
     def filter_unset(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)

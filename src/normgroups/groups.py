@@ -114,11 +114,20 @@ class PermutationGroup:
         return self._inverse_matrix
 
     def __contains__(self, p: Transformation) -> bool:
-        """Membership by one binary search over the sorted element keys."""
+        """Membership by one binary search over the sorted element keys.
+
+        Up to degree _MAX_VECTOR_DEGREE the key is p's encoding, computed
+        in Python; above it, the row bytes.
+        """
         if not isinstance(p, Permutation) or p.degree != self.degree:
             return False
-        key = _row_keys(np.array([p.images], dtype=np.int8))
-        return bool(isin_sorted(key, self.element_keys())[0])
+        keys = self.element_keys()
+        if self.degree > _MAX_VECTOR_DEGREE:
+            key = _row_keys(np.array([p.images], dtype=np.int8))
+            return bool(isin_sorted(key, keys)[0])
+        key = p.encode()
+        at = int(keys.searchsorted(key))
+        return at < keys.shape[0] and int(keys[at]) == key
 
     def __len__(self) -> int:
         return self.order()

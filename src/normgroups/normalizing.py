@@ -12,9 +12,13 @@ groups.
 Every conjugation orbit a^G here, the conjugates a check tests against,
 an orbit a sweep crosses off and a G-orbit inside an S_n-class, comes
 from _conjugate_encodings: a conjugated by every row of the element
-matrix, sorted and deduplicated, least member first.  Every conjugate,
-of a map or of a permutation, comes from one scatter, _conjugate_rows,
-which needs no inverse rows.
+matrix, sorted and deduplicated, least member first.  Where only keys
+are needed (those orbits, a sweep's twist of one by a coset of G in its
+normalizer, the normalizer's test of the generators' conjugates), they
+come from _conjugate_keys, which sums each conjugate's key point by
+point and builds no row.  Where a certificate needs the conjugates as
+rows (the r-class tiers), they come from one scatter, _conjugate_rows.
+Neither needs inverse rows.
 
 Each map is checked on the image sets of its products where it can be,
 and on its distinct products otherwise.  The image set of a*g is
@@ -128,9 +132,9 @@ from .semigroups import (
     _mask,
     _popcounts,
     certificate_from_matrix,
-    decode_encodings,
     encode_rows,
     isin_sorted,
+    power_vector,
     in_r_class,  # not called here; perfbench/tracer.py wraps this name
 )
 from .transform import Permutation, Transformation
@@ -292,21 +296,32 @@ def _has_section_mapper(
     return bool((orbit[:, None] & classes).all(axis=1).any())
 
 
-def _conjugate_rows(maps: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Row i is p^-1 a p, for a = maps[i] and p = perms[i], as int8 rows.
+def _conjugate_rows(a8: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Row i is p^-1 a p, for the map row a8 and p = perms[i], as int8 rows.
 
     p^-1 a p sends p(x) to p(a(x)), so each row is one scatter through p,
-    out[i, p[x]] = p[a[x]], and no inverse of p is needed.  Either side
-    may be a single row, taken with every row of the other; the single
-    row is used as an index as it is, never broadcast into a copy.
+    out[i, p[x]] = p[a[x]], and no inverse of p is needed.
     """
-    if perms.ndim == 1:
-        out = np.empty_like(maps)
-        out[:, perms] = perms[maps]
-        return out
     out = np.empty_like(perms)
-    out[np.arange(perms.shape[0])[:, None], perms] = perms[:, maps]
+    out[np.arange(perms.shape[0])[:, None], perms] = perms[:, a8]
     return out
+
+
+def _conjugate_keys(perms: np.ndarray, images: Sequence[int]) -> np.ndarray:
+    """Row i is the encode_rows key of a^p, for the map a given by its
+    images and p = perms[i]; no conjugate row is built.
+
+    a^p sends p(x) to p(a(x)), so its key is the sum over the points x of
+    w[p(x)] * p(a(x)), w = power_vector(n): one gather of w through a
+    column of perms and one product with another column per point.  Every
+    partial sum is at most the key, so it is exact wherever encode_rows
+    is, up to degree 15.
+    """
+    cols, w = perms.T, power_vector(perms.shape[1])
+    keys = np.take(w, cols[0]) * cols[images[0]]
+    for x in range(1, len(images)):
+        keys += np.take(w, cols[x]) * cols[images[x]]
+    return keys
 
 
 def _conjugate_encodings(perms: np.ndarray, a: Transformation) -> np.ndarray:
@@ -314,12 +329,12 @@ def _conjugate_encodings(perms: np.ndarray, a: Transformation) -> np.ndarray:
 
     With the element matrix of a group this is the orbit a^G, least
     member first: the one routine that builds a conjugation orbit of
-    maps, for the checker, the sweep and the class sweep alike.
-    Deduplicated by a sort and an adjacent-difference flag, which returns
-    what np.unique would without its hashing pass.
+    maps, for the checker, the sweep and the class sweep alike.  The keys
+    come from _conjugate_keys, and are deduplicated by a sort and an
+    adjacent-difference flag, which returns what np.unique would without
+    its hashing pass.
     """
-    a8 = np.array(a.images, dtype=np.int8)
-    encs = np.sort(encode_rows(_conjugate_rows(a8, perms)))
+    encs = np.sort(_conjugate_keys(perms, a.images))
     keep = np.ones(encs.shape[0], dtype=bool)
     np.not_equal(encs[1:], encs[:-1], out=keep[1:])
     return encs[keep]
@@ -649,8 +664,7 @@ def _normalizer_cosets(group: PermutationGroup) -> np.ndarray:
         return rows[:1]
     members = group.element_keys()
     for g in group.generators:
-        conj = _conjugate_rows(np.array(g.images, dtype=np.int8), rows)
-        rows = rows[isin_sorted(encode_rows(conj), members)]
+        rows = rows[isin_sorted(_conjugate_keys(rows, g.images), members)]
     encs = encode_rows(rows)
     covered = np.zeros(rows.shape[0], dtype=bool)
     reps = []
@@ -684,9 +698,10 @@ class ConjugacySweep:
     the default, the identity alone, gives the G-orbits.  An H-orbit is
     the G-orbit of its least member a, read from the element matrix by
     _conjugate_encodings and marked by one set_batch, followed by
-    (a^t)^G = (a^G)^t for each other representative t, the G-orbit's rows
-    conjugated by t in one _conjugate_rows call, skipped when a^t is
-    already marked (the bitmap holds whole G-orbits).  orbits counts
+    (a^t)^G = (a^G)^t for each other representative t: a conjugated by
+    the rows t[M], t after each element, again by _conjugate_encodings,
+    so the orbit is never decoded, and skipped when a^t is already
+    marked (the bitmap holds whole G-orbits).  orbits counts
     G-orbits and singular_seen maps, so both mean the same for every
     coset set.  A sweep under N loses nothing, since conjugation by N
     preserves every verdict; the module docstring gives the proof and how
@@ -734,18 +749,18 @@ class ConjugacySweep:
 
     def _expand(self, enc: int) -> tuple[int, int]:
         """Mark the orbit of the unmarked map enc: (G-orbits in it, maps in it)."""
-        orbit = _conjugate_encodings(self._matrix, Transformation.decode(self.degree, enc))
+        a = Transformation.decode(self.degree, enc)
+        orbit = _conjugate_encodings(self._matrix, a)
         self.bitmap.set_batch(orbit)
-        found, size = 1, orbit.shape[0]
-        if self.cosets.shape[0] > 1:
-            rows = decode_encodings(orbit, self.degree)
-            for t in self.cosets[1:]:
-                image = encode_rows(_conjugate_rows(rows, t))  # row i is (orbit[i])^t
-                if not self.bitmap.test(int(image[0])):
-                    self.bitmap.set_batch(image)
-                    found += 1
-                    size += image.shape[0]
-        return found, size
+        found = 1
+        twists = self.cosets[1:]
+        # (a^t)^G, as large as a^G, is a conjugated by the rows t[M]; the
+        # bitmap holds whole G-orbits, so a^t says whether it is marked
+        for t, key in zip(twists, _conjugate_keys(twists, a.images).tolist()):
+            if not self.bitmap.test(key):
+                self.bitmap.set_batch(_conjugate_encodings(t[self._matrix], a))
+                found += 1
+        return found, found * orbit.shape[0]
 
     def _advance(self) -> Iterator[tuple[int, int]]:
         """Expand each unseen orbit from the cursor on: (least encoding, size)."""

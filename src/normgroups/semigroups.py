@@ -41,14 +41,19 @@ alone.  The build rests on that:
   read from the trees only when asked for.
 
 The induced group is grown by one function, _grow_group, a chunk of
-1, 2, 4, ... nodes at a time, up to the row budget.  Each candidate
-permutation whose step keeps r points and returns from a strong-orbit
-node, read from valid, is encoded by encode_rows, and the chunk's
-encodings are taken in (node, encoding) order.  A candidate already in
-the group is skipped, any other becomes a generator, and the group is
-extended coset by coset (Dimino's algorithm), one gather per new coset,
-one encoding pass per batch of coset representatives and one set of
-encodings per chunk.  Each kept generator at least
+strong-orbit nodes at a time: the base node alone, where the group is
+most often already Sym(r); then every node left in one chunk, once they
+have at most _TAIL_ROWS steps (nodes times generators), and otherwise
+chunks of 2, 4, ... nodes, up to the row budget, until the rest fits.
+Each candidate permutation whose step keeps r points and returns from a
+strong-orbit node, read from valid, is encoded by encode_rows, and the
+chunk's encodings are taken in (node, encoding) order, so the chunking
+changes no kept generator.  A chunk with no candidate outside the group
+costs one sorted search; otherwise a candidate already in the group is
+skipped, any other becomes a generator, and the group is extended coset
+by coset (Dimino's algorithm), one gather per new coset, one encoding
+pass per batch of coset representatives and one set of encodings per
+chunk.  Each kept generator at least
 doubles the group, so a certificate stores at most log2 |H| of them,
 and its memory grows linearly with |H|.  Each new coset shows how many
 elements the group has at least, and the growth stops, before building
@@ -84,6 +89,9 @@ from .bitset import Bitmap
 from .transform import Transformation
 
 _CANDIDATE_ROW_BUDGET = 4_000_000
+# steps (nodes times generators) up to which the certificate takes every
+# strong-orbit node past the base in one candidate pass
+_TAIL_ROWS = 4096
 
 
 @functools.lru_cache(maxsize=None)
@@ -422,17 +430,21 @@ class RClassCertificate:
         # the step's target which node they return from, and only the steps
         # that keep r points and land in the strong orbit are gathered.
         # _grow_group keeps the candidates that enlarge the group and says
-        # when it is Sym(r).  The chunks grow 1, 2, 4, ... nodes, up to the
-        # row budget: the group is most often complete at the base or within
-        # a few nodes, and then the other nodes' candidates are never built
+        # when it is Sym(r).  The base node is a chunk of its own: the group
+        # is most often Sym(r) there, and then no other node's candidates are
+        # built.  Past it, the nodes left are one chunk once they have at most
+        # _TAIL_ROWS steps, and otherwise the chunks grow 2, 4, ... nodes, up
+        # to the row budget, so a large proper group is not built from one
+        # pass over every node's steps
         h_rows = np.arange(r, dtype=np.int8)[None, :]
         h_encs = encode_rows(h_rows)
         lands = t_scc[tgt]  # node each grouped generator's step returns from
         returns = lands >= 0
         cap = max(1, _CANDIDATE_ROW_BUDGET // (m * r))
         self._gens: list[np.ndarray] = []
+        nodes = scc.shape[0]
         full, lo, size = False, 0, 1
-        while lo < scc.shape[0] and not full:
+        while lo < nodes and not full:
             hi = lo + size
             # candidate e is node lo + i[e] stepped by grouped generator k[e]
             i, k = (valid[node_t[scc[lo:hi]]] & returns).nonzero()
@@ -443,6 +455,8 @@ class RClassCertificate:
                 h_rows, h_encs, self._gens, steps[order], encs[order]
             )
             lo, size = hi, min(2 * size, cap)
+            if (nodes - lo) * m <= _TAIL_ROWS:
+                size = nodes - lo
         # whether the induced group is all of Sym(r)
         self.induced_full = full
         # None when full: Sym(r) is built only when induced_group() is read
@@ -595,15 +609,19 @@ def _grow_group(
     Proved Sym(r), the growth stops before the coset is built, and
     (None, None, True) is returned: every later candidate lies in it.
     When g H alone, 2 |H| elements, proves it, the growth stops before
-    any gather.  Otherwise returns (rows, sorted encodings, False).
+    any gather.  Otherwise returns (rows, sorted encodings, False), and
+    when no candidate lies outside H, the rows and encodings it was given,
+    before any set of encodings is built.
     """
     r = rows.shape[1]
     odd = any(_is_odd(g) for g in gens)
     if rows.shape[0] > _sym_bound(r, odd):
         return None, None, True  # r = 1: the identity alone is Sym(1)
+    fresh = (~isin_sorted(cand_encs, encs)).nonzero()[0]
+    if not fresh.size:
+        return rows, encs, False
     known = set(encs.tolist())
     blocks, enc_blocks = [rows], [encs]
-    fresh = (~isin_sorted(cand_encs, encs)).nonzero()[0]
     for j, c in zip(fresh.tolist(), cand_encs[fresh].tolist()):
         if c in known:
             continue

@@ -18,12 +18,16 @@ def test_basic_set_test():
 
 
 def test_batch_ops_match_reference():
+    # batches with repeats, and strictly ascending ones (every other
+    # batch, and an empty one), which set_batch ORs in one run per byte
     rng = random.Random(3)
     nbits = 1000
     bm = Bitmap(nbits)
     ref = set()
-    for _ in range(20):
-        idx = np.array([rng.randrange(nbits) for _ in range(50)], dtype=np.int64)
+    for i in range(21):
+        idx = np.array([rng.randrange(nbits) for _ in range(50 if i < 20 else 0)], dtype=np.int64)
+        if i % 2:
+            idx = np.unique(idx)
         got = bm.test_batch(idx)
         assert got.tolist() == [i in ref for i in idx.tolist()]
         bm.set_batch(idx)

@@ -10,7 +10,7 @@ import json
 import os
 import random
 import tracemalloc
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from normgroups import normalizing
 from normgroups.bitset import Bitmap
-from normgroups.catalog import catalog, catalog_labels
+from normgroups.catalog import catalog, catalog_degrees, catalog_labels
 from normgroups.groups import PermutationGroup
 from normgroups.normalizing import (
     KNOWN_FAILING_MAPS,
@@ -541,10 +541,75 @@ def test_conjugate_encodings_match_np_unique():
         assert normalizing._conjugate_encodings(M[:1], a).tolist() == [a.encode()]
 
 
+def _scatter_keys(perms, a):
+    """The keys of a^p, p in perms, from rows: the scatter out[p[x]] =
+    p[a[x]], then encode_rows."""
+    rows = np.empty_like(perms)
+    rows[np.arange(perms.shape[0])[:, None], perms] = perms[:, np.array(a.images)]
+    return encode_rows(rows)
+
+
+def test_conjugate_keys_match_the_scatter_and_encode_rows():
+    # the keys summed point by point, against conjugate rows encoded by
+    # encode_rows: every catalog group, cyclic and dihedral groups of
+    # degrees 13-15, and random permutations of 15 points, with maps whose
+    # keys reach 15**15 - 1, the top of the encodings' range
+    rng = random.Random(1515)
+    groups = [catalog(label, n) for n in catalog_degrees() for label in catalog_labels(n)]
+    groups += [catalog(label, n) for n in (13, 14, 15) for label in (f"C{n}", f"D(2*{n})")]
+    cases = [(g.element_matrix(), _random_map(rng, g.degree, r))
+             for g in groups for r in rng.sample(range(1, g.degree), min(3, g.degree - 1))]
+    perms = np.array([rng.sample(range(15), 15) for _ in range(500)], dtype=np.int8)
+    perms[0] = np.arange(15)
+    for images in ([14] * 15, [14] * 14 + [13], [rng.randrange(15) for _ in range(15)]):
+        cases.append((perms, Transformation(images)))
+    for perms, a in cases:
+        want = _scatter_keys(perms, a)
+        got = normalizing._conjugate_keys(perms, a.images)
+        assert got.dtype == want.dtype and np.array_equal(got, want), a.images
+        assert np.array_equal(normalizing._conjugate_encodings(perms, a), np.unique(want))
+    assert max(int(normalizing._conjugate_keys(p, a.images).max()) for p, a in cases) == 15**15 - 1
+
+
+def test_a9_normalizer_walk_matches_the_decode_and_scatter_twist(monkeypatch):
+    # the first 50 N-orbits of the A9 walk under its normalizer cosets: each
+    # twist (a^t)^G read as a conjugated by the rows t[M], against the
+    # decoded rows of a^G scattered through t and encoded, as each G-orbit
+    # was once marked
+    group = catalog("A9", 9)
+    cosets = normalizing._normalizer_cosets(group)
+    assert cosets.shape[0] == 2
+
+    def decode_and_scatter(sweep, enc):
+        orbit = np.unique(_scatter_keys(sweep._matrix, Transformation.decode(9, enc)))
+        sweep.bitmap.set_batch(orbit)
+        found, size = 1, orbit.shape[0]
+        rows = decode_encodings(orbit, 9)
+        for t in sweep.cosets[1:]:
+            image = np.empty_like(rows)
+            image[:, t] = t[rows]
+            image = encode_rows(image)  # row i is (orbit[i])^t
+            if not sweep.bitmap.test(int(image[0])):
+                sweep.bitmap.set_batch(image)
+                found += 1
+                size += image.shape[0]
+        return found, size
+
+    def first_50():
+        sweep = ConjugacySweep(group, cosets=cosets)
+        return list(islice(sweep._advance(), 50)), sweep.orbits, sweep.singular_seen
+
+    got = first_50()
+    monkeypatch.setattr(ConjugacySweep, "_expand", decode_and_scatter)
+    want = first_50()
+    assert got == want
+    assert got[1] > 50
+
+
 def test_conjugate_rows_match_conjugated_by():
-    # the scatter kernel against Transformation.conjugated_by, row by row,
-    # with a single map against many permutations and many maps against a
-    # single permutation
+    # the scatter kernel against Transformation.conjugated_by, row by row;
+    # and the sweep's twist of a G-orbit by a coset representative t,
+    # a conjugated by the rows t[M], against the orbit's rows conjugated by t
     group = catalog("PSL(2,5)", 6)
     a = Transformation.parse("1,1,2,2,1,2")
     got = normalizing._conjugate_rows(np.array(a.images, dtype=np.int8), group.element_matrix())
@@ -559,10 +624,10 @@ def test_conjugate_rows_match_conjugated_by():
     # an odd permutation, so a representative of the other coset of A5 in
     # S5, and not an involution, so t and t^-1 give different conjugates
     t = Permutation.parse("(1 2 3 4)", 5)
-    got = normalizing._conjugate_rows(orbit, np.array(t.images, dtype=np.int8))
-    assert got.dtype == np.int8 and got.shape == orbit.shape
-    want = [Transformation(row).conjugated_by(t).images for row in orbit.tolist()]
-    assert [tuple(row) for row in got.tolist()] == want
+    twisted = np.array(t.images, dtype=np.int8)[a5.element_matrix()]
+    got = normalizing._conjugate_encodings(twisted, b)
+    want = sorted(Transformation(row).conjugated_by(t).encode() for row in orbit.tolist())
+    assert got.tolist() == want
 
 
 def test_second_check_of_an_image_set_sorts_no_array_of_g_rows(monkeypatch):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from normgroups import normalizing
+from normgroups import normalizing, semigroups
 from normgroups.catalog import catalog
 from normgroups.semigroups import (
     TransSemigroup,
@@ -617,6 +617,77 @@ def _first_hits_brute_force(hits):
             pairs.append((rows[0], j))
     pairs.sort()
     return pairs
+
+
+def test_grow_group_without_a_fresh_candidate_returns_what_it_was_given():
+    rows = _grow_from_identity(4, [(1, 0, 2, 3), (0, 1, 3, 2)])[0]
+    encs = np.sort(encode_rows(rows))
+    gens: list[np.ndarray] = []
+    got = _grow_group(rows, encs, gens, rows[::-1], encode_rows(rows[::-1]))
+    assert got[0] is rows and got[1] is encs and got[2] is False
+    assert gens == []
+
+
+def _panel_map(rng, n, rank):
+    """A uniform map of the rank, drawn as the benchmark draws its panels."""
+    image = rng.sample(range(n), rank)
+    while True:
+        pick = [rng.randrange(rank) for _ in range(n)]
+        if len(set(pick)) == rank:
+            return Transformation(image[i] for i in pick)
+
+
+def test_one_tail_pass_keeps_the_doubling_chunks_certificates(monkeypatch):
+    # the strong-orbit nodes past the base in one candidate pass, as long
+    # as their steps fit _TAIL_ROWS, against chunks of 1, 2, 4, ... nodes
+    # (_TAIL_ROWS = 0), on full tiers, all of a^G: the 28 not-normalizing
+    # maps of the benchmark's AGL(1,7) rank-4 panel, the PSL(2,8) maps of
+    # its degree-9 panel, and seeded maps of degrees 7-9
+    cases = []
+    rng = random.Random("maps-agl17-r4/panel")
+    agl = normalizing._MapChecker(catalog("AGL(1,7)", 7))
+    for _ in range(150):
+        a = _panel_map(rng, 7, 4)
+        if agl.check(a).status == normalizing.STATUS_NOT:
+            cases.append((agl, a))
+    assert len(cases) == 28
+    rng = random.Random("maps-deg9/panel")
+    psl = normalizing._MapChecker(catalog("PSL(2,8)", 9))
+    for rank, count in {2: 4, 3: 4, 4: 4, 5: 4, 6: 4, 7: 1, 8: 1}.items():
+        cases += [(psl, _panel_map(rng, 9, rank)) for _ in range(count)]
+    rng = random.Random(2828)
+    for label, n in [("A7", 7), ("PSL(2,7)", 8), ("AGL(1,8)", 8), ("PΓL(2,8)", 9)]:
+        checker = normalizing._MapChecker(catalog(label, n))
+        cases += [(checker, _random_map_of_rank(rng, n, rng.randrange(2, n))) for _ in range(4)]
+
+    grow, tail, calls = semigroups._grow_group, semigroups._TAIL_ROWS, []
+
+    def counted(*args):
+        calls.append(args)
+        return grow(*args)
+
+    monkeypatch.setattr(semigroups, "_grow_group", counted)
+
+    def build(rows, a, bound):
+        monkeypatch.setattr(semigroups, "_TAIL_ROWS", bound)
+        calls.clear()
+        cert = certificate_from_matrix(rows, a)
+        return (
+            cert.strong_orbit, cert.words_in, cert.words_back, cert.induced_generators,
+            cert.induced_full, sorted(cert.induced_group()), cert.size,
+        ), len(calls)
+
+    fewer = 0
+    for checker, a in cases:
+        rows = decode_encodings(checker._conjugates(a), a.degree)
+        doubling, before = build(rows, a, 0)
+        got, after = build(rows, a, tail)
+        assert got == doubling, (checker.group.label, a.images)
+        assert after <= before
+        fewer += after < before
+        if checker is agl:
+            assert after <= 2, a.images
+    assert fewer >= 21
 
 
 def test_first_in_columns_matches_brute_force():
