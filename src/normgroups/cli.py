@@ -6,7 +6,7 @@ catalog of one degree), reps (conjugation-orbit representatives), groups
 list (the catalog), filters (structural necessary conditions).
 
 Exit codes follow the verdict: 0 normalizing / success, 1 not
-normalizing / classification mismatch, 2 usage error.
+normalizing / classification mismatch, 2 usage error or out of memory.
 JSON output carries "schema": 1 and is byte-identical for identical
 inputs regardless of worker count; progress goes to standard error.
 """
@@ -149,32 +149,22 @@ def cmd_check(args) -> int:
     return _STATUS_EXIT[v.status]
 
 
-def cmd_normalizing(args) -> int:
+def cmd_sweep(args) -> int:
+    """normalizing, or k-normalizing when args carries a rank."""
     group = _load_group(args)
-    v = is_normalizing(
-        group,
+    rank = getattr(args, "rank", None)
+    run = dict(
         workers=args.workers,
-        cache_path=_resolve_cache(args, group, None),
+        cache_path=_resolve_cache(args, group, rank),
         progress=_progress_printer(args),
         progress_interval=args.progress_interval,
     )
-    _emit(args, _verdict_payload(args, "normalizing", v), _verdict_lines(v, timings=args.timings))
-    return _STATUS_EXIT[v.status]
-
-
-def cmd_k_normalizing(args) -> int:
-    group = _load_group(args)
-    v = is_k_normalizing(
-        group,
-        args.rank,
-        workers=args.workers,
-        cache_path=_resolve_cache(args, group, args.rank),
-        progress=_progress_printer(args),
-        progress_interval=args.progress_interval,
-    )
-    payload = _verdict_payload(args, "k-normalizing", v)
-    payload["rank"] = args.rank
-    lines = [f"rank:     {args.rank}"] + _verdict_lines(v, timings=args.timings)
+    v = is_normalizing(group, **run) if rank is None else is_k_normalizing(group, rank, **run)
+    payload = _verdict_payload(args, args.command, v)
+    lines = _verdict_lines(v, timings=args.timings)
+    if rank is not None:
+        payload["rank"] = rank
+        lines = [f"rank:     {rank}"] + lines
     _emit(args, payload, lines)
     return _STATUS_EXIT[v.status]
 
@@ -341,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_flags(p)
     _add_run_flags(p)
     _add_output_flags(p)
-    p.set_defaults(fn=cmd_normalizing)
+    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("k-normalizing", help="decide a-normalizing for every rank-k a")
     _add_group_flags(p)
     p.add_argument("--rank", type=int, required=True, help="rank k, 1 <= k < n")
     _add_run_flags(p)
     _add_output_flags(p)
-    p.set_defaults(fn=cmd_k_normalizing)
+    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("classify", help="compute the normalizing groups of one degree")
     p.add_argument("--degree", type=int, required=True,
@@ -385,6 +375,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.fn(args)
     except (CliError, ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as e:
+        detail = f": {e}" if str(e) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_ERROR
 
 

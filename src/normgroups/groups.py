@@ -70,7 +70,6 @@ class PermutationGroup:
         self._keys: np.ndarray | None = None
         self._subset_orbits: np.ndarray | None = None
         self._subset_transversal: np.ndarray | None = None
-        self._restrictions: dict[int, np.ndarray | None] = {}
 
     # -- element enumeration -------------------------------------------------
 
@@ -223,29 +222,6 @@ class PermutationGroup:
                 frontier = new
             self._subset_transversal = rows
         return self._subset_transversal
-
-    def distinct_restrictions(self, mask: int) -> np.ndarray | None:
-        """The first element of each distinct restriction to a point set.
-
-        For the set I given by its bitmask, the ascending (discovery-order)
-        int32 indices of the elements g at which each restriction g|_I
-        first occurs; there are |G : G_(I)| of them, G_(I) the pointwise
-        stabilizer of I.  None when G_(I) is trivial, where every element
-        is its own first.  Built per mask on first use, by one pass over
-        the elements with a base-degree key of their images on I and one
-        unstable sort of the keys (_first_of_each).
-        """
-        if mask not in self._restrictions:
-            n = self.degree
-            points = [p for p in range(n) if (mask >> p) & 1]
-            keys = encode_rows(self.element_matrix()[:, points], n)
-            # row 0 is the identity, so rows with its key make up G_(I)
-            if np.count_nonzero(keys == keys[0]) == 1:
-                self._restrictions[mask] = None
-            else:
-                firsts = _first_of_each(keys)[1]
-                self._restrictions[mask] = np.sort(firsts).astype(np.int32)
-        return self._restrictions[mask]
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree

@@ -21,17 +21,17 @@ rows (the r-class tiers), they come from one scatter, _conjugate_rows.
 Neither needs inverse rows.
 
 Each map is checked on the image sets of its products where it can be,
-and on its distinct products otherwise.  The image set of a*g is
+and on its products as rows otherwise.  The image set of a*g is
 g(image(a)), so the products' image sets are the orbit of image(a) on
 point sets, at most C(n, r) of them, read from the group's subset_orbits
 table.  a*g depends only on g on I = image(a), so aG has |G : G_(I)|
 distinct members, G_(I) the pointwise stabilizer of I.  Where products
-are needed as rows, the least g giving each is read from a per-group
-table keyed by the bitmask of I (PermutationGroup.distinct_restrictions),
-built by one pass over G the first time an image set is seen, so the
-least failing g stays the witness.  That happens only in the shortcut
-stage and for image sets a certificate with a proper induced group has
-to decide.  The products go through a fixed strategy order:
+are needed as rows, the product of every element is tested, in element
+order, and the first that fails names its g as the witness: equal
+products get equal verdicts, so that g is also the least g of the first
+failing distinct product.  Rows are needed only in the shortcut stage
+and for image sets a certificate with a proper induced group has to
+decide.  The products go through a fixed strategy order:
 
 1. shortcut: if no h in G maps image(a) onto a section of ker(a), then
    any product of two or more conjugates of a drops rank, so the
@@ -340,11 +340,10 @@ def _conjugate_encodings(perms: np.ndarray, a: Transformation) -> np.ndarray:
     return encs[keep]
 
 
-def _sorted_distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct map rows and their encodings, in ascending encoding order:
-    decode_encodings of _conjugate_encodings, without the decoding."""
-    encs, first = _first_of_each(encode_rows(rows))
-    return rows[first], encs
+def _sorted_distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct map rows, in ascending encoding order: decode_encodings
+    of _conjugate_encodings, without the decoding."""
+    return rows[_first_of_each(encode_rows(rows))[1]]
 
 
 def _require_vector_degree(n: int) -> None:
@@ -378,12 +377,12 @@ class _MapChecker:
 
     def _conjugate_tiers(
         self, a: Transformation, orbit: np.ndarray
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    ) -> Iterator[np.ndarray]:
         """The growing subsets T of a^G the r-class stage tries, as rows.
 
-        Each tier is its distinct int8 rows with their encodings, both in
-        ascending encoding order (_sorted_distinct), so the certificate
-        reads the rows without decoding them.
+        Each tier is its distinct int8 rows in ascending encoding order
+        (_sorted_distinct), so the certificate reads the rows without
+        decoding them.
 
         Tier s is a conjugated by the s elements at indices i * |G| // s,
         for s = _TIER_FIRST, 2 * _TIER_FIRST, ... while _TIER_CUTOFF * s <=
@@ -410,12 +409,12 @@ class _MapChecker:
         movers = None
         while _TIER_CUTOFF * size <= order:
             picks = self.M[np.arange(size) * order // size]
-            rows, encs = _sorted_distinct(_conjugate_rows(a8, picks))
+            rows = _sorted_distinct(_conjugate_rows(a8, picks))
             if movers is None:
                 movers = self._transported(a, picks, orbit)
-            elif 8 * encs.shape[0] < 7 * size:
+            elif 8 * rows.shape[0] < 7 * size:
                 break
-            yield _sorted_distinct(np.concatenate([rows, movers])) if movers.size else (rows, encs)
+            yield _sorted_distinct(np.concatenate([rows, movers])) if movers.size else rows
             size *= 2
         yield _sorted_distinct(_conjugate_rows(a8, self.M))
 
@@ -442,17 +441,7 @@ class _MapChecker:
         """Decide whether every a*g lies in <a^G>."""
         _require_singular(self.group, a)
         orbit = _orbit_masks(self.group, a)
-        return self._decide(a, orbit, orbit, functools.partial(self._distinct, a))
-
-    def _distinct(self, a: Transformation) -> np.ndarray:
-        """The least g of each distinct product a*g, as rows in ascending order.
-
-        a*g depends only on g on image(a), so each product comes from
-        |pointwise stabilizer of image(a)| elements; keeping the least g of
-        each keeps the least failing g as the witness.
-        """
-        at = self.group.distinct_restrictions(_image_mask(a))
-        return self.M if at is None else self.M[at]
+        return self._decide(a, orbit, orbit, self.M)
 
     def check_pair(self, a: Transformation, g: Permutation) -> NormalizingVerdict:
         """Decide membership of the single product a*g in <a^G>."""
@@ -463,23 +452,18 @@ class _MapChecker:
             raise ValueError(f"{g.cycle_string()} is not a member of {self.group.label}")
         g8 = np.array([g.images], dtype=np.int8)
         orbit = _orbit_masks(self.group, a)
-        return self._decide(a, orbit, np.array([_image_mask(a * g)]), lambda: g8)
+        return self._decide(a, orbit, np.array([_image_mask(a * g)]), g8)
 
     def _decide(
-        self,
-        a: Transformation,
-        orbit: np.ndarray,
-        sets: np.ndarray,
-        factors: Callable[[], np.ndarray],
+        self, a: Transformation, orbit: np.ndarray, sets: np.ndarray, gs: np.ndarray
     ) -> NormalizingVerdict:
-        """The strategy ladder over the products a*g.
+        """The strategy ladder over the products a*g, g a row of gs.
 
         orbit holds the masks of image(a)'s orbit (_orbit_masks), sets the
         ascending masks of the products' image sets, the sets g(image(a)),
-        and factors() the g of the products as rows, in the order their
-        products are tested, built only when products must be tested as
-        rows.  The first product found outside <a^G> names its g as the
-        witness.
+        and gs the g as int8 rows, in the order their products are tested:
+        the element matrix for check, the one g for check_pair.  The first
+        product found outside <a^G> names its g as the witness.
         """
         t0 = time.perf_counter()
         a64 = np.array(a.images, dtype=np.int64)
@@ -493,11 +477,9 @@ class _MapChecker:
             )
 
         def within(sets: np.ndarray) -> np.ndarray:
-            gs = factors()
             return gs[isin_sorted(_mask(gs[:, list(a.image())]), sets)]
 
         if not _has_section_mapper(self.group, a, orbit):
-            gs = factors()
             bad = np.flatnonzero(~isin_sorted(encode_rows(gs[:, a64]), self._conjugates(a)))
             if bad.size:
                 return verdict(STATUS_NOT, ("shortcut",), gs[bad[0]], REASON_CONJUGATE)
@@ -509,24 +491,24 @@ class _MapChecker:
         # set is a node, so the rest is the image sets not yet accepted;
         # from the first proper induced group on it is the g of the
         # products rejected so far
-        gs = None
-        for rows, _ in self._conjugate_tiers(a, orbit):
+        rest = None
+        for rows in self._conjugate_tiers(a, orbit):
             cert = certificate_from_matrix(rows, a)
-            if gs is None and cert.induced_full:
+            if rest is None and cert.induced_full:
                 sets = sets[~cert.is_node(sets)]
                 if sets.size == 0:
                     return verdict(STATUS_NORMALIZING, ("r-class",))
                 continue
-            if gs is None:
-                gs = within(sets)
-            gs = gs[~cert.contains_products(gs[:, a64])]
-            if gs.shape[0] == 0:
+            if rest is None:
+                rest = within(sets)
+            rest = rest[~cert.contains_products(rest[:, a64])]
+            if rest.shape[0] == 0:
                 return verdict(STATUS_NORMALIZING, ("r-class",))
         # the last tier was all of a^G, whose certificate decides membership
         # exactly past the shortcut (stage 3 of the module docstring)
-        if gs is None:
-            gs = within(sets)
-        return verdict(STATUS_NOT, ("r-class", "closure"), gs[0], REASON_MEMBERSHIP)
+        if rest is None:
+            rest = within(sets)
+        return verdict(STATUS_NOT, ("r-class", "closure"), rest[0], REASON_MEMBERSHIP)
 
 
 def exists_section_mapper(group: PermutationGroup, a: Transformation) -> Permutation | None:

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from normgroups import cli
 from normgroups.catalog import catalog
 from normgroups.cli import main
 from normgroups.normalizing import sweep_cache_path
@@ -376,6 +377,19 @@ def test_filters_failure_sets_exit_code(tmp_path, capsys):
     assert payload["first_rejection"] == "primitive"
     failing = [c for c in payload["checks"] if not c["passed"]]
     assert any(c["witness_map"] for c in failing)
+
+
+def test_out_of_memory_is_an_error_not_a_failed_filter(capsys, monkeypatch):
+    # filters on C40 asks numpy for a 2^40-mask table; running out of
+    # memory is exit 2, not the exit 1 of a group failing a filter
+    def exhausted(group):
+        raise MemoryError("Unable to allocate 16.0 TiB for an array")
+
+    monkeypatch.setattr(cli, "structural_filters", exhausted)
+    code, out, err = run(capsys, "filters", "--degree", "5", "--group", "C5")
+    assert code == 2
+    assert out == ""
+    assert "error: out of memory: Unable to allocate 16.0 TiB" in err
 
 
 # -- output plumbing -----------------------------------------------------------

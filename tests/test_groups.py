@@ -415,61 +415,6 @@ def test_group_from_generator_text():
     assert short.degree == 5 and short.order() == 4
 
 
-def brute_force_restrictions(images, points):
-    # the first element of each distinct restriction to the points, and
-    # how many elements fix every point
-    firsts = {}
-    fixers = 0
-    for i, g in enumerate(images):
-        firsts.setdefault(tuple(g[p] for p in points), i)
-        fixers += all(g[p] == p for p in points)
-    return sorted(firsts.values()), fixers
-
-
-def masks_of_sizes(n, sizes, rng):
-    # two random point sets of each size, as bitmasks
-    out = []
-    for k in sizes:
-        subsets = list(itertools.combinations(range(n), k))
-        out += [sum(1 << p for p in pts) for pts in rng.sample(subsets, min(2, len(subsets)))]
-    return out
-
-
-@pytest.mark.parametrize(
-    "label,n,sample",
-    [("A7", 7, None), ("S7", 7, None), ("AGL(1,7)", 7, None), ("PSL(2,5)", 6, None),
-     ("C5", 5, None), ("trivial", 3, None), ("A8", 8, 20),
-     # every size at degree 9: G_(I) is trivial from size 7 in A9 and from
-     # size 3 in PSL(2,8), and at A9 size 2 each run of equal keys, which
-     # the unstable sort scrambles, holds 2,520 elements; in S9 at size 7
-     # the runs are pairs
-     pytest.param("A9", 9, range(10), id="A9-9-sizes0-9", marks=pytest.mark.slow),
-     pytest.param("PSL(2,8)", 9, range(10), id="PSL(2,8)-9-sizes0-9"),
-     pytest.param("S9", 9, (7,), id="S9-9-size7", marks=pytest.mark.slow)],
-)
-def test_distinct_restrictions_match_brute_force(label, n, sample):
-    # a fresh copy, so the table is built here and not read from a cache
-    group = PermutationGroup(catalog(label, n).generators, degree=n, label=label)
-    masks = range(1 << n)
-    if isinstance(sample, int):
-        masks = random.Random(17).sample(masks, sample)
-    elif sample is not None:
-        masks = masks_of_sizes(n, sample, random.Random(17))
-    images = [g.images for g in group.elements()]
-    for mask in masks:
-        points = [p for p in range(n) if (mask >> p) & 1]
-        firsts, fixers = brute_force_restrictions(images, points)
-        table = group.distinct_restrictions(mask)
-        if fixers == 1:
-            assert table is None, (label, points)
-            assert firsts == list(range(group.order()))
-        else:
-            assert table is not None and table.dtype == np.int32, (label, points)
-            assert table.tolist() == firsts, (label, points)
-            assert len(firsts) * fixers == group.order()
-        assert group.distinct_restrictions(mask) is table
-
-
 @pytest.mark.parametrize("label,n", [("A9", 9), ("PSL(2,8)", 9), ("AGL(1,7)", 7), ("D(2*15)", 15)])
 def test_subset_transversal_takes_each_orbit_least_mask_onto_its_own(label, n):
     # a fresh copy, so the table is built here and not read from a cache

@@ -40,6 +40,7 @@ from normgroups.normalizing import (
     structural_filters,
 )
 from normgroups.semigroups import (
+    RClassCertificate,
     TransSemigroup,
     certificate_from_matrix,
     decode_encodings,
@@ -203,12 +204,12 @@ def test_conjugate_tiers_accept_only_what_the_full_certificate_accepts():
             orbit = set(np.flatnonzero(label == label[sum(1 << p for p in image)]).tolist())
             conj_encs = checker._conjugates(a)
             full = _certified(checker, a, conj_encs)
-            tier_rows = list(checker._conjugate_tiers(a, normalizing._orbit_masks(group, a)))
-            # each tier's rows are its encodings decoded, so the
-            # certificate reads the same rows it did from the encodings
-            for rows, tier in tier_rows:
-                assert np.array_equal(rows, decode_encodings(tier, n))
-            tiers = [tier for _, tier in tier_rows]
+            tiers = [encode_rows(rows) for rows in
+                     checker._conjugate_tiers(a, normalizing._orbit_masks(group, a))]
+            # each tier's rows are distinct and in ascending encoding order,
+            # so the certificate reads the same rows it would decode from them
+            for tier in tiers:
+                assert (np.diff(tier) > 0).all()
             # every tier lies in a^G and holds a once; each lies in the
             # next, and the last is all of a^G; every set of image(a)'s
             # orbit is the image set of some member of every tier
@@ -278,8 +279,9 @@ def _row_ladder(checker, a, g=None):
     group, M = checker.group, checker.M
     elements = group.elements()
     if g is None:
-        at = group.distinct_restrictions(normalizing._image_mask(a))
-        at = np.arange(M.shape[0]) if at is None else at
+        # the first element of each distinct restriction to image(a)
+        keys = encode_rows(M[:, list(a.image())], group.degree)
+        at = np.sort(np.unique(keys, return_index=True)[1])
         prods = M[at][:, np.array(a.images)]
     else:
         at = None
@@ -361,21 +363,21 @@ def _random_map(rng, n, rank):
 def test_a9_maps_decided_by_one_certificate_on_image_sets(monkeypatch):
     # each map's first tier reaches every image set of its orbit and has
     # the induced group Sym(r), so one certificate decides it and no
-    # product row is built: no restriction table, no pass over A9
-    sizes, tables = [], []
+    # product row is tested: no pass over A9
+    sizes, tested = [], []
     certificate = normalizing.certificate_from_matrix
-    restrictions = PermutationGroup.distinct_restrictions
+    contains = RClassCertificate.contains_products
 
     def spy_cert(rows, a):
         sizes.append(rows.shape[0])
         return certificate(rows, a)
 
-    def spy_table(group, mask):
-        tables.append(mask)
-        return restrictions(group, mask)
+    def spy_contains(cert, rows):
+        tested.append(rows.shape[0])
+        return contains(cert, rows)
 
     monkeypatch.setattr(normalizing, "certificate_from_matrix", spy_cert)
-    monkeypatch.setattr(PermutationGroup, "distinct_restrictions", spy_table)
+    monkeypatch.setattr(RClassCertificate, "contains_products", spy_contains)
     group = catalog("A9", 9)
     checker = normalizing._MapChecker(group)
     for text in ("1,5,7,1,5,7,7,1,5", "9,9,5,9,3,8,5,8,3", "9,3,5,1,7,9,7,1,5",
@@ -384,7 +386,7 @@ def test_a9_maps_decided_by_one_certificate_on_image_sets(monkeypatch):
         v = checker.check(Transformation.parse(text))
         assert v.status == STATUS_NORMALIZING and v.trace == ("r-class",), text
         assert len(sizes) == 1 and sizes[0] <= 1024, (text, sizes)
-    assert tables == []
+    assert tested == []
 
 
 def _reference_ladder(checker, a):

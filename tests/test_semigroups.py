@@ -788,8 +788,8 @@ def test_rank8_first_tier_certificate_stops_before_listing_alt8(label, text):
     checker = normalizing._MapChecker(catalog(label, 9))
     a = Transformation.parse(text)
     orbit = normalizing._orbit_masks(checker.group, a)
-    rows, encs = next(checker._conjugate_tiers(a, orbit))
-    assert np.array_equal(rows, decode_encodings(encs, 9))
+    rows = next(checker._conjugate_tiers(a, orbit))
+    assert (np.diff(encode_rows(rows)) > 0).all()
     tracemalloc.start()
     try:
         cert = certificate_from_matrix(rows, a)
