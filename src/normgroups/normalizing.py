@@ -44,25 +44,22 @@ decide.  The products go through a fixed strategy order:
 2. r-class: test a*g for membership in the R-class of a inside <a^G>
    via the strong-orbit certificate.  Sufficient for membership but not
    necessary, so only an all-pass is conclusive.  The certificate is
-   first built over growing subsets T of a^G, each holding a itself.
-   While 4s <= |G|, tier s is the conjugates of a by the s elements at
-   indices i|G|//s, for s = 256, 512, ..., and by one element taking
-   image(a) onto each set of its orbit the first 256 picks miss, read
-   from the group's subset_transversal table: nested, each holding a
-   (the first element is the identity), each with a conjugate of every
-   image set a product can have, and none needing a pass over G.  A
-   tier past the first is tried only while 7/8 of its picks are
-   distinct, which holds about when 4|T| <= |a^G|; the last tier is all
-   of a^G.  While a tier's induced group is all of Sym(r), a product
-   passes exactly when its image set is a strong-orbit node, so the
-   tier drops those sets and the check passes once none is left; from
-   the first tier with a proper induced group on, the products of the
-   sets left are tested as rows.  Each tier re-tests only what the
-   earlier ones rejected, so a^G is built in full only after every
-   element-pick tier has rejected something, or for the shortcut.  This
-   is exact: if x is R-related to a in <T>, with a in T and T within
-   a^G, then x is R-related to a in <a^G>, so the tiers together accept
-   exactly what the full certificate accepts.
+   first built over a subset T of a^G holding a itself: while 1,024 <=
+   |G|, the conjugates of a by the 256 elements at indices i|G|//256,
+   the first of them the identity, and by one element taking image(a)
+   onto each set of its orbit those picks miss, read from the group's
+   subset_transversal table, so T has a conjugate of every image set a
+   product can have and needs no pass over G.  The second and last tier
+   is all of a^G, the only tier of a smaller group.  While a tier's
+   induced group is all of Sym(r), a product passes exactly when its
+   image set is a strong-orbit node, so the tier drops those sets and
+   the check passes once none is left; from the first tier with a
+   proper induced group on, the products of the sets left are tested as
+   rows.  The last tier re-tests only what the first rejected, so a^G is
+   built in full only after the first tier has rejected something, or
+   for the shortcut.  This is exact: if x is R-related to a in <T>, with
+   a in T and T within a^G, then x is R-related to a in <a^G>, so the
+   tiers together accept exactly what the full certificate accepts.
 3. closure: the products the last tier rejected lie outside <a^G>, and
    the least g left is the witness; the stage does no work of its own and
    keeps its trace label, so reports stay as they were.  With maps acting
@@ -184,11 +181,9 @@ _SWEEP_BATCH = 128
 # its cost per candidate
 _CANDIDATE_CHUNK = 4096
 
-# r-class tiers: a conjugated by 256, 512, ... strided elements (and by one
-# element onto each image set the first 256 miss), each tier tried only
-# while 4 * its picks <= |G| and, past the first, while 7/8 of its picks
-# are distinct (about 4 * its picks <= |a^G|); a subset nearer |a^G| saves
-# less than a failed tier costs
+# the first r-class tier: a conjugated by 256 strided elements (and by one
+# element onto each image set they miss), tried only while 4 * 256 <= |G|:
+# a subset nearer a^G, the second and last tier, saves less than it costs
 _TIER_FIRST = 256
 _TIER_CUTOFF = 4
 
@@ -378,55 +373,40 @@ class _MapChecker:
     def _conjugate_tiers(
         self, a: Transformation, orbit: np.ndarray
     ) -> Iterator[np.ndarray]:
-        """The growing subsets T of a^G the r-class stage tries, as rows.
+        """The subsets T of a^G the r-class stage tries, as rows: at most two.
 
         Each tier is its distinct int8 rows in ascending encoding order
         (_sorted_distinct), so the certificate reads the rows without
         decoding them.
 
-        Tier s is a conjugated by the s elements at indices i * |G| // s,
-        for s = _TIER_FIRST, 2 * _TIER_FIRST, ... while _TIER_CUTOFF * s <=
-        |G|; those indices double with s, so the picks are nested, and the
-        first element is the identity, so each tier holds a.  Every tier
-        also holds a conjugated by one element taking image(a) onto each
-        set of its orbit (orbit, the masks _orbit_masks gives) that the
-        first tier's picks miss, read from subset_transversal(), so each
-        tier has a conjugate of every image set a product can have, and
-        the tiers stay nested.  A tier past the first is tried only when
-        at least 7/8 of its s picks are distinct: s random picks from m
-        conjugates give about s(1 - s/2m) of them, so the rule estimates
-        _TIER_CUTOFF * s <= |a^G| without building a^G.  It is only an
-        estimate: strided picks spread more evenly over an orbit than
-        random ones, so more of them are distinct.  Under Sym{1..7} on 8
-        points, 5,2,6,5,7,8,3,5 (|a^G| = 2,520) draws 915 distinct
-        conjugates from 1,024 picks, so the 1,024-pick tier is tried where
-        4 * s <= |a^G| would have stopped at 512.  The last tier is all of
-        a^G, built only once every earlier tier has rejected a product.
+        While _TIER_CUTOFF * _TIER_FIRST <= |G|, the first tier is a
+        conjugated by the _TIER_FIRST elements at indices i * |G| //
+        _TIER_FIRST, the first of them the identity, so the tier holds a,
+        and by one element taking image(a) onto each set of its orbit
+        (orbit, the masks _orbit_masks gives) that those picks miss, read
+        from subset_transversal(), so the tier has a conjugate of every
+        image set a product can have.  The last tier is all of a^G, built
+        only once the first has rejected a product, and the only tier of a
+        smaller group.
         """
         a8 = np.array(a.images, dtype=np.int8)
         order = self.M.shape[0]
-        size = _TIER_FIRST
-        movers = None
-        while _TIER_CUTOFF * size <= order:
-            picks = self.M[np.arange(size) * order // size]
-            rows = _sorted_distinct(_conjugate_rows(a8, picks))
-            if movers is None:
-                movers = self._transported(a, picks, orbit)
-            elif 8 * rows.shape[0] < 7 * size:
-                break
-            yield _sorted_distinct(np.concatenate([rows, movers])) if movers.size else rows
-            size *= 2
+        if _TIER_CUTOFF * _TIER_FIRST <= order:
+            picks = self.M[np.arange(_TIER_FIRST) * order // _TIER_FIRST]
+            movers = self._transported(a, picks, orbit)
+            yield _sorted_distinct(_conjugate_rows(a8, np.concatenate([picks, movers])))
         yield _sorted_distinct(_conjugate_rows(a8, self.M))
 
     def _transported(
         self, a: Transformation, picks: np.ndarray, orbit: np.ndarray
     ) -> np.ndarray:
-        """Rows of a conjugated onto each image set no pick reaches.
+        """Elements taking image(a) onto each image set no pick reaches.
 
-        One conjugate per set of image(a)'s orbit that no a^p, p in picks,
-        has as its image set p(image(a)).  Row m of subset_transversal()
-        takes the least set of m's orbit onto m, so the inverse of the row
-        of image(a), then the row of m, takes image(a) onto m.
+        One element per set of image(a)'s orbit that no p in picks takes
+        image(a) onto, so a conjugated by it has that image set.  Row m of
+        subset_transversal() takes the least set of m's orbit onto m, so
+        the inverse of the row of image(a), then the row of m, takes
+        image(a) onto m.
         """
         reached = np.zeros(1 << self.group.degree, dtype=bool)
         reached[_mask(picks[:, list(a.image())])] = True
@@ -435,7 +415,7 @@ class _MapChecker:
             return picks[:0]
         rows = self.group.subset_transversal()
         back = np.argsort(rows[_image_mask(a)])
-        return _conjugate_rows(np.array(a.images, dtype=np.int8), rows[missed][:, back])
+        return rows[missed][:, back]
 
     def check(self, a: Transformation) -> NormalizingVerdict:
         """Decide whether every a*g lies in <a^G>."""
@@ -1256,8 +1236,10 @@ def structural_filters(group: PermutationGroup) -> FilterReport:
 
     Transitivity, primitivity, and (k-1,k)-homogeneity for every k up
     to floor((n+1)/2).  Each failed condition carries a map the group
-    provably fails to normalize.  Passing everything proves nothing:
-    the full check stays the ground truth.
+    provably fails to normalize, except a pairing whose standard map is
+    still normalized or, past degree _MAX_VECTOR_DEGREE, not checked.
+    Passing everything proves nothing: the full check stays the ground
+    truth.
     """
     n = group.degree
     checks: list[FilterCheck] = []
@@ -1310,11 +1292,16 @@ def structural_filters(group: PermutationGroup) -> FilterReport:
                 "I={" + ",".join(str(p + 1) for p in I) + "} never lands inside "
                 "J={" + ",".join(str(p + 1) for p in J) + "}"
             )
-            if checker is None:
-                checker = _MapChecker(group)
-            witness = _certified_homogeneity_witness(checker, I, J)
-            if witness is None:
-                detail += "; the standard map for this pairing is still normalized"
+            witness = None
+            if n > _MAX_VECTOR_DEGREE:
+                detail += (f"; the standard map is not checked past degree "
+                           f"{_MAX_VECTOR_DEGREE}")
+            else:
+                if checker is None:
+                    checker = _MapChecker(group)
+                witness = _certified_homogeneity_witness(checker, I, J)
+                if witness is None:
+                    detail += "; the standard map for this pairing is still normalized"
             checks.append(FilterCheck(name, False, detail, witness))
     return FilterReport(group.label, n, tuple(checks))
 

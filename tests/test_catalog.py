@@ -57,8 +57,8 @@ def test_catalog_groups_transitive():
 
 
 def test_first_element_is_the_identity():
-    # the conjugate tiers and the distinct-restriction table both take
-    # element 0 to be the identity
+    # the first conjugate tier takes element 0 to be the identity, so the
+    # tier holds the map itself
     groups = {(label, degree) for label, degree in EXPECTED_ORDERS}
     for degree in (*range(1, 10), 12):
         groups.update((label, degree) for label in catalog_labels(degree))

@@ -379,6 +379,17 @@ def test_filters_failure_sets_exit_code(tmp_path, capsys):
     assert any(c["witness_map"] for c in failing)
 
 
+def test_filters_past_degree_15_report_a_failed_pairing_without_its_map(capsys):
+    # the standard map of a failed pairing is certified by a map check,
+    # which stops at degree 15; the pairing still fails, with no map
+    code, payload, _ = run_json(capsys, "filters", "--degree", "16", "--group", "C16")
+    assert code == 1
+    assert payload["first_rejection"] == "primitive"
+    pairing = next(c for c in payload["checks"] if c["name"] == "(2,3)-homogeneous")
+    assert pairing["passed"] is False and pairing["witness_map"] is None
+    assert "not checked past degree 15" in pairing["detail"]
+
+
 def test_out_of_memory_is_an_error_not_a_failed_filter(capsys, monkeypatch):
     # filters on C40 asks numpy for a 2^40-mask table; running out of
     # memory is exit 2, not the exit 1 of a group failing a filter

@@ -198,7 +198,6 @@ def test_conjugate_tiers_accept_only_what_the_full_certificate_accepts():
         M = checker.M
         order = M.shape[0]
         label = group.subset_orbits()
-        subset_tiers = 0
         for a in maps:
             image = list(a.image())
             orbit = set(np.flatnonzero(label == label[sum(1 << p for p in image)]).tolist())
@@ -222,48 +221,55 @@ def test_conjugate_tiers_accept_only_what_the_full_certificate_accepts():
             for smaller, larger in zip(tiers, tiers[1:]):
                 assert np.isin(smaller, larger).all()
             assert np.array_equal(tiers[-1], conj_encs)
-            # |G| >= 1024 here, so there is at least one partial tier: a
-            # conjugated by 256, 512, ... elements at strided indices, and by
-            # one element onto each image set the first 256 picks miss
-            assert len(tiers) >= 2
-            first = M[np.arange(256) * order // 256][:, image]
-            missed = orbit - {sum(1 << p for p in set(row)) for row in first.tolist()}
-            for i, tier in enumerate(tiers):
-                picks = 256 << i
-                at = np.arange(picks) * order // picks
-                picked = normalizing._conjugate_encodings(M[at], a)
-                if i == len(tiers) - 1:
-                    # the doubling stopped at |G| / 4 picks, or at the first
-                    # tier with fewer than 7/8 of its picks distinct
-                    assert 4 * picks > order or 8 * picked.shape[0] < 7 * picks
-                    break
-                assert 4 * picks <= order
-                assert i == 0 or 8 * picked.shape[0] >= 7 * picks
-                # past the picks, the first tier holds one conjugate onto
-                # each image set its picks miss, and every later tier too
-                if i == 0:
-                    movers = np.setdiff1d(tier, picked)
-                    onto = [sum(1 << p for p in set(row))
-                            for row in decode_encodings(movers, n).tolist()]
-                    assert sorted(onto) == sorted(missed)
-                assert np.array_equal(tier, np.union1d(picked, movers))
-                accepted = _certified(checker, a, tier)
-                assert not (accepted & ~full).any(), (group.label, a.one_based())
-                subset_tiers += 1
+            # |G| >= 1024 here, so there are exactly two tiers: a conjugated
+            # by 256 elements at strided indices and by one element onto each
+            # image set those picks miss, then all of a^G
+            assert len(tiers) == 2
+            at = np.arange(256) * order // 256
+            missed = orbit - {sum(1 << p for p in set(row)) for row in M[at][:, image].tolist()}
+            tier = tiers[0]
+            picked = normalizing._conjugate_encodings(M[at], a)
+            movers = np.setdiff1d(tier, picked)
+            onto = [sum(1 << p for p in set(row))
+                    for row in decode_encodings(movers, n).tolist()]
+            assert sorted(onto) == sorted(missed)
+            assert np.array_equal(tier, np.union1d(picked, movers))
+            accepted = _certified(checker, a, tier)
+            assert not (accepted & ~full).any(), (group.label, a.one_based())
             transported += len(missed)
             if a in fixed.get(group.label, []):
                 # a known negative: every tier rejects some product, and the
                 # exact stage finds the least g whose a*g escapes <a^G>
                 assert len(conj_encs) == 2520
-                assert [t.shape[0] for t in tiers[:-1]] == [249, 482, 915]
+                assert [t.shape[0] for t in tiers] == [249, 2520]
                 assert not full.all()
                 v = is_a_normalizing(group, a)
                 assert v.status == STATUS_NOT and v.trace == ("r-class", "closure")
                 assert v.witness.g.cycle_string() == "(1 2 3 4 5 6 7)"
                 replay = check_pair(group, a, v.witness.g)
                 assert replay.status == STATUS_NOT and replay.witness == v.witness
-        assert subset_tiers > 0, group.label
     assert transported > 0
+
+
+def test_a_negative_builds_one_certificate_per_tier(monkeypatch):
+    # the first tier (249 rows) rejects a product, so the second, all 2,520
+    # conjugates, decides: two certificates for the check and two for the
+    # replay of its witness, with no tier between them
+    sizes = []
+    certificate = normalizing.certificate_from_matrix
+
+    def spy(rows, a):
+        sizes.append(rows.shape[0])
+        return certificate(rows, a)
+
+    monkeypatch.setattr(normalizing, "certificate_from_matrix", spy)
+    checker = normalizing._MapChecker(_sym7_on_8_points())
+    a = Transformation.parse("5,2,6,5,7,8,3,5")
+    v = checker.check(a)
+    assert v.status == STATUS_NOT and sizes == [249, 2520]
+    sizes.clear()
+    replay = checker.check_pair(a, v.witness.g)
+    assert replay.status == STATUS_NOT and sizes == [249, 2520]
 
 
 def _row_ladder(checker, a, g=None):
